@@ -89,11 +89,15 @@ def _read_json(path: str) -> object:
         raise DocumentError(f"invalid JSON in {path}: {err}") from err
 
 
-def _kind_from_tag(tag: str) -> Algebra:
-    for kind in Algebra:
-        if kind.value == tag:
-            return kind
-    raise DocumentError(f"unknown algebra {tag!r}")
+def _count(text: str) -> int:
+    """argparse type for depths, box sides and slack: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _cmd_complete(args: argparse.Namespace) -> int:
@@ -118,14 +122,11 @@ def _cmd_op(args: argparse.Namespace) -> int:
         d = parse_datum(_read_json(args.start))
         if args.kind is not None and d.kind.value != args.kind:
             raise DocumentError("--kind disagrees with the start datum")
-        if args.side == "left":
-            b = crystal.CrystalElement(complete_from_left(d))
-        else:
-            b = crystal.CrystalElement(complete_from_right(d))
+        b = complete_from_left(d) if args.side == "left" else complete_from_right(d)
     else:
         if args.kind is None:
             raise DocumentError("either --start or --kind is required")
-        b = crystal.lowest(_kind_from_tag(args.kind))
+        b = crystal.lowest(Algebra(args.kind))
     tokens = args.word.split()
     for pos, token in enumerate(tokens):
         op = _TOKENS.get(token)
@@ -145,12 +146,12 @@ def _cmd_op(args: argparse.Namespace) -> int:
             )
             return EXIT_FAIL
         b = result
-    sys.stdout.write(dumps(polytope_to_obj(b.polytope, with_vertices=True)))
+    sys.stdout.write(dumps(polytope_to_obj(b, with_vertices=True)))
     return EXIT_OK
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
-    g = crystal.crystal_graph(_kind_from_tag(args.kind), args.depth)
+    g = crystal.crystal_graph(Algebra(args.kind), args.depth)
     sys.stdout.write(graph_to_dot(g))
     return EXIT_OK
 
@@ -167,7 +168,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    kind = _kind_from_tag(args.kind)
+    kind = Algebra(args.kind)
     box = (
         RootVector(args.box[0], args.box[1])
         if args.box is not None
@@ -240,7 +241,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph", help="crystal graph below a raising depth")
     p.add_argument("--kind", choices=_KIND_TAGS, required=True)
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_count, required=True)
     p.add_argument("--format", choices=("dot",), default="dot")
     p.set_defaults(run=_cmd_graph)
 
@@ -258,10 +259,10 @@ def _parser() -> argparse.ArgumentParser:
         choices=("uniqueness", "axioms", "star", "saito", "crystal", "all"),
     )
     p.add_argument("--kind", choices=_KIND_TAGS, required=True)
-    p.add_argument("--box", type=int, nargs=2, metavar=("A", "B"),
+    p.add_argument("--box", type=_count, nargs=2, metavar=("A", "B"),
                    help="weight box for the uniqueness sweep")
-    p.add_argument("--depth", type=int, help="graph depth for the node sweeps")
-    p.add_argument("--slack", type=int, default=2,
+    p.add_argument("--depth", type=_count, help="graph depth for the node sweeps")
+    p.add_argument("--slack", type=_count, default=2,
                    help="extra exponents for the reflection formulas")
     p.add_argument("--json", action="store_true", help="machine-readable reports")
     p.set_defaults(run=_cmd_verify)

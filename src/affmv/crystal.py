@@ -1,7 +1,7 @@
 """Crystal operators on decorated polytopes.
 
-An element is wrapped around a decorated polytope; the two Lusztig data
-stay synchronized through the transition solver.  Raising and lowering
+An element is a decorated polytope; its two Lusztig data stay
+synchronized through the transition map.  Raising and lowering
 operators touch the multiplicity of one extreme root on one side and
 re-complete the other side; the starred operators do the same with the
 sides exchanged.  Reflections are realized by twisting the datum whose
@@ -37,33 +37,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CrystalElement:
-    """A crystal element, carried by its decorated polytope."""
-
-    polytope: DecoratedPolytope
-
-    @property
-    def kind(self) -> Algebra:
-        return self.polytope.kind
-
-    @property
-    def left(self) -> LusztigDatum:
-        return self.polytope.left
-
-    @property
-    def right(self) -> LusztigDatum:
-        return self.polytope.right
-
-    @property
-    def weight(self) -> RootVector:
-        return self.polytope.weight
+# Crystal elements are decorated polytopes; this name is kept for callers.
+CrystalElement = DecoratedPolytope
 
 
-def lowest(kind: Algebra) -> CrystalElement:
+def lowest(kind: Algebra) -> DecoratedPolytope:
     """The element of weight zero every other one is raised from."""
     zero = datum(kind)
-    return CrystalElement(DecoratedPolytope(zero, zero))
+    return DecoratedPolytope(zero, zero)
 
 
 def _check_node(i: int) -> None:
@@ -75,75 +56,73 @@ def _bump(d: LusztigDatum, family: str, by: int) -> LusztigDatum:
     return d.with_mult(family, 1, d.mult(family, 1) + by)
 
 
-def e(i: int, b: CrystalElement) -> CrystalElement:
+def e(i: int, b: DecoratedPolytope) -> DecoratedPolytope:
     """Raise along alpha_i: bump one extreme multiplicity, re-complete."""
     _check_node(i)
     if i == 0:
-        return CrystalElement(complete_from_right(_bump(b.right, HIGH, 1)))
-    return CrystalElement(complete_from_left(_bump(b.left, LOW, 1)))
+        return complete_from_right(_bump(b.right, HIGH, 1))
+    return complete_from_left(_bump(b.left, LOW, 1))
 
 
-def f(i: int, b: CrystalElement) -> CrystalElement | None:
+def f(i: int, b: DecoratedPolytope) -> DecoratedPolytope | None:
     """Lower along alpha_i, or None at the bottom of the string."""
     _check_node(i)
     if phi(i, b) == 0:
         return None
     if i == 0:
-        return CrystalElement(complete_from_right(_bump(b.right, HIGH, -1)))
-    return CrystalElement(complete_from_left(_bump(b.left, LOW, -1)))
+        return complete_from_right(_bump(b.right, HIGH, -1))
+    return complete_from_left(_bump(b.left, LOW, -1))
 
 
-def e_star(i: int, b: CrystalElement) -> CrystalElement:
+def e_star(i: int, b: DecoratedPolytope) -> DecoratedPolytope:
     """Raising operator conjugated by the side-swapping involution."""
     _check_node(i)
     if i == 0:
-        return CrystalElement(complete_from_left(_bump(b.left, HIGH, 1)))
-    return CrystalElement(complete_from_right(_bump(b.right, LOW, 1)))
+        return complete_from_left(_bump(b.left, HIGH, 1))
+    return complete_from_right(_bump(b.right, LOW, 1))
 
 
-def f_star(i: int, b: CrystalElement) -> CrystalElement | None:
+def f_star(i: int, b: DecoratedPolytope) -> DecoratedPolytope | None:
     """Lowering operator conjugated by the side-swapping involution."""
     _check_node(i)
     if phi_star(i, b) == 0:
         return None
     if i == 0:
-        return CrystalElement(complete_from_left(_bump(b.left, HIGH, -1)))
-    return CrystalElement(complete_from_right(_bump(b.right, LOW, -1)))
+        return complete_from_left(_bump(b.left, HIGH, -1))
+    return complete_from_right(_bump(b.right, LOW, -1))
 
 
-def phi(i: int, b: CrystalElement) -> int:
+def phi(i: int, b: DecoratedPolytope) -> int:
     """Number of times f_i applies, read off one extreme multiplicity."""
     _check_node(i)
     return b.right.mult(HIGH, 1) if i == 0 else b.left.mult(LOW, 1)
 
 
-def eps(i: int, b: CrystalElement) -> int:
+def eps(i: int, b: DecoratedPolytope) -> int:
     """phi_i minus the coroot pairing with the weight; may be negative."""
     return phi(i, b) - cartan_pair(b.kind, i, b.weight)
 
 
-def phi_star(i: int, b: CrystalElement) -> int:
+def phi_star(i: int, b: DecoratedPolytope) -> int:
     _check_node(i)
     return b.left.mult(HIGH, 1) if i == 0 else b.right.mult(LOW, 1)
 
 
-def eps_star(i: int, b: CrystalElement) -> int:
+def eps_star(i: int, b: DecoratedPolytope) -> int:
     return phi_star(i, b) - cartan_pair(b.kind, i, b.weight)
 
 
-def star(b: CrystalElement) -> CrystalElement:
+def star(b: DecoratedPolytope) -> DecoratedPolytope:
     """Kashiwara involution: exchange the two Lusztig data."""
-    return CrystalElement(DecoratedPolytope(b.right, b.left))
+    return DecoratedPolytope(b.right, b.left)
 
 
-def tau(b: CrystalElement) -> CrystalElement:
+def tau(b: DecoratedPolytope) -> DecoratedPolytope:
     """Diagram flip, untwisted algebra only: flip both data, swap sides."""
-    return CrystalElement(
-        DecoratedPolytope(twist_tau(b.right), twist_tau(b.left))
-    )
+    return DecoratedPolytope(twist_tau(b.right), twist_tau(b.left))
 
 
-def saito(i: int, b: CrystalElement) -> CrystalElement:
+def saito(i: int, b: DecoratedPolytope) -> DecoratedPolytope:
     """Reflection at node i, defined when phi_i(b) = 0.
 
     The right datum twists through s_i and becomes the new left datum;
@@ -152,19 +131,19 @@ def saito(i: int, b: CrystalElement) -> CrystalElement:
     if phi(i, b) != 0:
         raise PreconditionViolated(f"reflection at {i} needs phi_{i} = 0, got {phi(i, b)}")
     if i == 0:
-        return CrystalElement(complete_from_left(twist_s(b.right, 0)))
-    return CrystalElement(complete_from_right(twist_s(b.left, 1)))
+        return complete_from_left(twist_s(b.right, 0))
+    return complete_from_right(twist_s(b.left, 1))
 
 
-def saito_star(i: int, b: CrystalElement) -> CrystalElement:
+def saito_star(i: int, b: DecoratedPolytope) -> DecoratedPolytope:
     """Reflection conjugated by star, defined when phi_i*(b) = 0."""
     if phi_star(i, b) != 0:
         raise PreconditionViolated(
             f"starred reflection at {i} needs phi_{i}* = 0, got {phi_star(i, b)}"
         )
     if i == 0:
-        return CrystalElement(complete_from_right(twist_s(b.left, 0)))
-    return CrystalElement(complete_from_left(twist_s(b.right, 1)))
+        return complete_from_right(twist_s(b.left, 0))
+    return complete_from_left(twist_s(b.right, 1))
 
 
 @dataclass(frozen=True)
@@ -180,12 +159,12 @@ class CrystalGraph:
 
     kind: Algebra
     depth: int
-    nodes: tuple[CrystalElement, ...]
+    nodes: tuple[DecoratedPolytope, ...]
     node_depths: tuple[int, ...]
     node_weights: tuple[RootVector, ...]
     edges: tuple[tuple[int, str, int], ...]
 
-    def node_index(self, b: CrystalElement) -> int:
+    def node_index(self, b: DecoratedPolytope) -> int:
         return self.nodes.index(b)
 
 

@@ -29,9 +29,6 @@ __all__ = [
     "dumps",
 ]
 
-_ALGEBRAS = {kind.value: kind for kind in Algebra}
-
-
 class DocumentError(ValueError):
     """The input does not conform to the document schema."""
 
@@ -56,11 +53,13 @@ def parse_datum(obj: Any) -> LusztigDatum:
         raise DocumentError("datum document must be a JSON object")
     _require_keys(obj, ("algebra",), ("real", "delta"), "datum document")
     tag = obj["algebra"]
-    kind = _ALGEBRAS.get(tag)
-    if kind is None:
+    try:
+        kind = Algebra(tag)
+    except ValueError:
         raise DocumentError(
-            f"unknown algebra {tag!r}, expected one of {sorted(_ALGEBRAS)}"
-        )
+            f"unknown algebra {tag!r}, "
+            f"expected one of {sorted(a.value for a in Algebra)}"
+        ) from None
     entries: dict[tuple[str, int], int] = {}
     real = obj.get("real", [])
     if not isinstance(real, list):

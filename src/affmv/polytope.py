@@ -14,7 +14,7 @@ is constant, so the truncated scan is equivalent to the infinite one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .lusztig import LusztigDatum, Partition, largest_part, remove_part
@@ -38,27 +38,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DecoratedPolytope:
-    """A pair of Lusztig data of equal weight, left and right."""
+    """A pair of Lusztig data of equal weight, left and right.
+
+    This is also the crystal element: the operators in `crystal` take
+    and return decorated polytopes.
+    """
 
     left: LusztigDatum
     right: LusztigDatum
+    weight: RootVector = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.left.kind is not self.right.kind:
             raise ValueError("the two data must belong to the same algebra")
-        if datum_weight(self.left) != datum_weight(self.right):
-            raise ValueError(
-                f"weight mismatch: left {datum_weight(self.left)}, "
-                f"right {datum_weight(self.right)}"
-            )
+        w, right_w = datum_weight(self.left), datum_weight(self.right)
+        if w != right_w:
+            raise ValueError(f"weight mismatch: left {w}, right {right_w}")
+        object.__setattr__(self, "weight", w)
 
     @property
     def kind(self) -> Algebra:
         return self.left.kind
-
-    @property
-    def weight(self) -> RootVector:
-        return datum_weight(self.left)
 
 
 class PathPrefixes(NamedTuple):

@@ -12,14 +12,14 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import crystal
-from .crystal import CrystalElement, CrystalGraph, crystal_graph
+from .crystal import CrystalGraph, crystal_graph
 from .lusztig import (
     enumerate_data,
     is_purely_imaginary,
     trapezoid_datum,
     twist_s,
 )
-from .polytope import mv_violations, path_prefixes, vertices
+from .polytope import DecoratedPolytope, mv_violations, path_prefixes, vertices
 from .roots import (
     ALPHA0,
     ALPHA1,
@@ -30,7 +30,7 @@ from .roots import (
     max_real_index,
     simple_reflection,
 )
-from .transition import DFS, SolverInvariantError, transition_l_to_r, transition_r_to_l
+from .transition import DFS, SolverInvariantError, transition_l_to_r
 
 __all__ = [
     "Report",
@@ -123,7 +123,8 @@ def check_uniqueness(
     For each weight the full pairing matrix is computed with the baseline
     check; rows and columns must contain exactly one passing partner, the
     matrix must be symmetric under the side swap, and (optionally) the
-    pruned search must return exactly the baseline partner both ways.
+    pruned search must return exactly the baseline partner both ways:
+    its one answer T(d) is compared with the row and the column partner.
     """
     t = _Tally()
     for w in _box_weights(box):
@@ -177,38 +178,26 @@ def check_uniqueness(
             for i, d in enumerate(data):
                 t.hit("dfs completions", 2)
                 try:
-                    got_right = transition_l_to_r(d, solver=DFS)
-                    got_left = transition_r_to_l(d, solver=DFS)
+                    got = transition_l_to_r(d, solver=DFS)
                 except SolverInvariantError as err:
                     t.hit("dfs mismatches")
                     t.fail(f"weight {w}: pruned solver failed on {d}: {err}")
                     continue
-                if row_partner[i] < 0 or got_right != data[row_partner[i]]:
-                    t.hit("dfs mismatches")
-                    t.fail(
-                        f"weight {w}: pruned right completion of {d} "
-                        f"differs from baseline"
-                    )
-                if col_partner[i] < 0 or got_left != data[col_partner[i]]:
-                    t.hit("dfs mismatches")
-                    t.fail(
-                        f"weight {w}: pruned left completion of {d} "
-                        f"differs from baseline"
-                    )
+                for side, partner in (("right", row_partner[i]), ("left", col_partner[i])):
+                    if partner < 0 or got != data[partner]:
+                        t.hit("dfs mismatches")
+                        t.fail(
+                            f"weight {w}: pruned {side} completion of {d} "
+                            f"differs from baseline"
+                        )
             t.hit("dfs mismatches", 0)
         t.notes.append(f"weight {w}: {n} data")
     return t.done("uniqueness", kind, f"box {box}")
 
 
-def _power(op: Callable[[CrystalElement], CrystalElement], b: CrystalElement, n: int) -> CrystalElement:
-    for _ in range(n):
-        b = op(b)
-    return b
-
-
 def _exhaust(
-    op: Callable[[CrystalElement], CrystalElement | None], b: CrystalElement
-) -> tuple[CrystalElement, int]:
+    op: Callable[[DecoratedPolytope], DecoratedPolytope | None], b: DecoratedPolytope
+) -> tuple[DecoratedPolytope, int]:
     steps = 0
     while True:
         nxt = op(b)
@@ -218,19 +207,22 @@ def _exhaust(
         steps += 1
 
 
-def _operational_saito(i: int, b: CrystalElement) -> CrystalElement:
-    """Reflection computed from the operator formula, threshold exponent."""
-    n = max(0, crystal.eps_star(i, b))
-    raised = _power(lambda x: crystal.e(i, x), b, n)
-    settled, _ = _exhaust(lambda x: crystal.f_star(i, x), raised)
-    return settled
+def _saito_formula(
+    i: int, b: DecoratedPolytope, starred: bool, n: int | None = None
+) -> DecoratedPolytope:
+    """A reflection from operators: raise n times, then lower to the end.
 
-
-def _operational_saito_star(i: int, b: CrystalElement) -> CrystalElement:
-    n = max(0, crystal.eps(i, b))
-    raised = _power(lambda x: crystal.e_star(i, x), b, n)
-    settled, _ = _exhaust(lambda x: crystal.f(i, x), raised)
-    return settled
+    The plain formula is f_i*^max e_i^n, the starred one f_i^max e_i*^n.
+    n defaults to the threshold exponent, max(0, eps_i*) for the plain
+    formula and max(0, eps_i) for the starred one.
+    """
+    if starred:
+        raise_, lower, threshold = crystal.e_star, crystal.f, crystal.eps
+    else:
+        raise_, lower, threshold = crystal.e, crystal.f_star, crystal.eps_star
+    for _ in range(max(0, threshold(i, b)) if n is None else n):
+        b = raise_(i, b)
+    return _exhaust(lambda x: lower(i, x), b)[0]
 
 
 def check_axioms(
@@ -276,7 +268,7 @@ def check_axioms(
                     t.fail(f"{name} node {idx}: twist identity broken")
                 if ref.weight != simple_reflection(kind, i, b.weight):
                     t.fail(f"{name} node {idx}: reflected weight wrong")
-                if _operational_saito(i, b) != ref:
+                if _saito_formula(i, b, starred=False) != ref:
                     t.fail(
                         f"{name} node {idx}: operator formula disagrees "
                         f"with the twist definition"
@@ -291,7 +283,7 @@ def check_axioms(
                     t.fail(f"{name} node {idx}: twist identity broken")
                 if ref.weight != simple_reflection(kind, i, b.weight):
                     t.fail(f"{name} node {idx}: reflected weight wrong")
-                if _operational_saito_star(i, b) != ref:
+                if _saito_formula(i, b, starred=True) != ref:
                     t.fail(
                         f"{name} node {idx}: operator formula disagrees "
                         f"with the twist definition"
@@ -317,8 +309,8 @@ def check_star_negation(
     for idx, b in enumerate(g.nodes):
         t.hit("nodes checked")
         sb = crystal.star(b)
-        fan = vertices(b.polytope)
-        sfan = vertices(sb.polytope)
+        fan = vertices(b)
+        sfan = vertices(sb)
         w = b.weight
         original = sorted(fan.mu_r + fan.mu_r_top + fan.mu_l + fan.mu_l_top)
         swapped = sorted(sfan.mu_r + sfan.mu_r_top + sfan.mu_l + sfan.mu_l_top)
@@ -355,21 +347,13 @@ def check_saito_formulas(
                 ref = crystal.saito(i, b)
                 n0 = max(0, crystal.eps_star(i, b))
                 for n in range(n0, n0 + slack + 1):
-                    got, _ = _exhaust(
-                        lambda x: crystal.f_star(i, x),
-                        _power(lambda x: crystal.e(i, x), b, n),
-                    )
                     t.hit("formula evaluations")
-                    if got != ref:
+                    if _saito_formula(i, b, starred=False, n=n) != ref:
                         t.fail(
                             f"node {idx}, i={i}, exponent {n}: formula "
                             f"disagrees with the reflection"
                         )
-                opposite, _ = _exhaust(
-                    lambda x: crystal.f(i, x),
-                    _power(lambda x: crystal.e_star(i, x), b, max(0, crystal.eps(i, b))),
-                )
-                if opposite != ref:
+                if _saito_formula(i, b, starred=True) != ref:
                     opposite_mismatches += 1
                     if first_mismatch is None:
                         first_mismatch = f"node {idx} (weight {b.weight}), i={i}"
@@ -378,12 +362,8 @@ def check_saito_formulas(
                 ref = crystal.saito_star(i, b)
                 n0 = max(0, crystal.eps(i, b))
                 for n in range(n0, n0 + slack + 1):
-                    got, _ = _exhaust(
-                        lambda x: crystal.f(i, x),
-                        _power(lambda x: crystal.e_star(i, x), b, n),
-                    )
                     t.hit("formula evaluations")
-                    if got != ref:
+                    if _saito_formula(i, b, starred=True, n=n) != ref:
                         t.fail(
                             f"node {idx}, i={i}, exponent {n}: starred formula "
                             f"disagrees with the starred reflection"

@@ -254,3 +254,20 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "everything", "--kind", "sl2hat"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["graph", "--kind", "sl2hat", "--depth", "-1"],
+            ["verify", "all", "--kind", "sl2hat", "--depth", "-1"],
+            ["verify", "uniqueness", "--kind", "sl2hat", "--box", "-1", "3"],
+            ["verify", "uniqueness", "--kind", "a2(2)", "--box", "2", "-4"],
+            ["verify", "saito", "--kind", "sl2hat", "--slack", "-5"],
+        ],
+    )
+    def test_negative_counts_are_rejected_by_argparse(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "must be >= 0" in capsys.readouterr().err
+

@@ -249,6 +249,6 @@ class TestGraphs:
     @pytest.mark.parametrize("kind", KINDS)
     def test_every_node_is_a_valid_polytope(self, kind):
         for b in small_graph(kind).nodes:
-            assert is_mv(b.polytope).ok
+            assert is_mv(b).ok
             assert weight(b.left) == weight(b.right) == b.weight
             assert complete_from_right(b.right).left == b.left

@@ -50,6 +50,7 @@ class TestDatumDocuments:
             "not an object",
             {},
             {"algebra": "e8"},
+            {"algebra": ["sl2hat"]},
             {"algebra": "sl2hat", "extra": 1},
             {"algebra": "sl2hat", "real": {}},
             {"algebra": "sl2hat", "real": ["low"]},

@@ -2,13 +2,17 @@
 
 Both solvers are compared on exhaustive boxes; small partners are
 frozen; completing twice inverts the map on every enumerated datum.
+Hypothesis properties carry the involution and the side symmetry of the
+MV verdict to random data past those boxes.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from affmv.lusztig import datum, enumerate_data, trapezoid_datum
-from affmv.polytope import is_mv
-from affmv.roots import HIGH, LOW, Algebra, RootVector
+from affmv.lusztig import datum, enumerate_data, trapezoid_datum, weight
+from affmv.polytope import DecoratedPolytope, is_mv
+from affmv.roots import FAMILIES, HIGH, LOW, Algebra, RootVector, beta, delta
 from affmv.transition import (
     DFS,
     ORACLE,
@@ -96,8 +100,6 @@ class TestSolverAgreement:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_transition_preserves_the_weight_not_the_datum(self, kind):
-        from affmv.lusztig import weight
-
         moved = 0
         for d in tiny_data(kind):
             partner = transition_r_to_l(d)
@@ -123,3 +125,71 @@ class TestPlumbing:
             zero = datum(kind)
             P = complete_from_left(zero)
             assert P.left == P.right == zero
+
+
+def _height(v):
+    return v.a + v.b
+
+
+@st.composite
+def bounded_data(draw, kind, max_height=60):
+    """A random datum of height at most max_height.
+
+    Real entries and parts are drawn freely and kept while they fit, so
+    shrinking drops them one by one.
+    """
+    real = {}
+    height = 0
+    entries = draw(
+        st.lists(
+            st.tuples(st.sampled_from(FAMILIES), st.integers(1, 6), st.integers(1, 5)),
+            max_size=6,
+        )
+    )
+    for family, k, mult in entries:
+        cost = mult * _height(beta(kind, family, k))
+        if height + cost <= max_height:
+            real[(family, k)] = real.get((family, k), 0) + mult
+            height += cost
+    parts = []
+    for part in draw(st.lists(st.integers(1, 8), max_size=4)):
+        cost = part * _height(delta(kind))
+        if height + cost <= max_height:
+            parts.append(part)
+            height += cost
+    return datum(kind, real, parts)
+
+
+def padded(d, w):
+    """d with alpha0 (high 1) and alpha1 (low 1) steps added up to weight w."""
+    gap = w - weight(d)
+    d = d.with_mult(HIGH, 1, d.mult(HIGH, 1) + gap.a)
+    return d.with_mult(LOW, 1, d.mult(LOW, 1) + gap.b)
+
+
+class TestInvolutionProperties:
+    """T, the one transition map, on random data past the sweep boxes."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_T_is_a_weight_preserving_involution(self, kind, data):
+        d = data.draw(bounded_data(kind))
+        partner = transition_l_to_r(d)
+        assert transition_l_to_r(partner) == d
+        assert weight(partner) == weight(d)
+        assert is_mv(DecoratedPolytope(d, partner)).ok
+        assert is_mv(DecoratedPolytope(partner, d)).ok
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(deadline=None, max_examples=200)
+    @given(st.data())
+    def test_mv_verdict_is_symmetric_in_the_sides(self, kind, data):
+        left = data.draw(bounded_data(kind))
+        right = data.draw(bounded_data(kind))
+        wl, wr = weight(left), weight(right)
+        w = RootVector(max(wl.a, wr.a), max(wl.b, wr.b))
+        left, right = padded(left, w), padded(right, w)
+        assert is_mv(DecoratedPolytope(left, right)).ok == is_mv(
+            DecoratedPolytope(right, left)
+        ).ok

@@ -118,8 +118,6 @@ def partitions(n: int, max_part: int | None = None) -> Iterator[Partition]:
 
 # -- Lusztig data -------------------------------------------------------
 
-LadderLabel = tuple[str, int]
-
 
 class RealEntry(NamedTuple):
     family: str
@@ -305,33 +303,31 @@ def enumerate_data(kind: Algebra, w: RootVector) -> tuple[LusztigDatum, ...]:
     Multiplicities are chosen along the fixed root order (low ladder
     ascending, then high ladder ascending), smallest first, and whatever
     residual is a multiple of delta closes off with each partition of it.
+    The search keeps its own stack, so no closure cycle holds the result
+    list after the call.
     """
+    if w.a < 0 or w.b < 0:
+        return ()
     roots = positive_real_roots(kind, w)
     out: list[LusztigDatum] = []
-
-    def rec(idx: int, ra: int, rb: int, picked: tuple[tuple[LadderLabel, int], ...]) -> None:
+    # (next root, residual a, residual b, entries picked so far); children
+    # are pushed largest multiplicity first so they pop smallest first.
+    stack: list[tuple[int, int, int, tuple[RealEntry, ...]]] = [(0, w.a, w.b, ())]
+    while stack:
+        idx, ra, rb, picked = stack.pop()
         if idx == len(roots):
             n = delta_multiple(kind, RootVector(ra, rb))
-            if n is None:
-                return
-            for parts in partitions(n):
-                out.append(
-                    LusztigDatum(
-                        kind,
-                        tuple(RealEntry(fam, k, m) for (fam, k), m in picked),
-                        parts,
-                    )
-                )
-            return
+            if n is not None:
+                out.extend(LusztigDatum(kind, picked, parts) for parts in partitions(n))
+            continue
         root, family, k = roots[idx]
-        for m in range(_max_mult(ra, rb, root) + 1):
-            rec(
-                idx + 1,
-                ra - m * root.a,
-                rb - m * root.b,
-                picked + (((family, k), m),) if m else picked,
+        for m in range(_max_mult(ra, rb, root), -1, -1):
+            stack.append(
+                (
+                    idx + 1,
+                    ra - m * root.a,
+                    rb - m * root.b,
+                    picked + (RealEntry(family, k, m),) if m else picked,
+                )
             )
-
-    if w.a >= 0 and w.b >= 0:
-        rec(0, w.a, w.b, ())
     return tuple(out)

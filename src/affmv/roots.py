@@ -35,6 +35,7 @@ __all__ = [
     "beta_high",
     "beta",
     "root_label",
+    "ladder_table",
     "max_real_index",
     "positive_real_roots",
 ]
@@ -215,20 +216,50 @@ def root_label(kind: Algebra, v: RootVector) -> tuple[str, int] | None:
     return None
 
 
+def ladder_table(kind: Algebra, family: str, upto: int) -> tuple[tuple[int, int], ...]:
+    """The coordinates (a, b) of beta(kind, family, k) for k = 0..upto.
+
+    Entry k is the k-th root of the ladder and entry 0 is (0, 0), the
+    indexing of the prefix arrays in `polytope`.  Built from the closed
+    forms of `beta_low` and `beta_high` without constructing vectors.
+    """
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    low = family == LOW
+    if kind is Algebra.SL2_HAT:
+        rows = [(k - 1, k) if low else (k, k - 1) for k in range(1, upto + 1)]
+    elif low:
+        rows = [
+            (k // 2, k) if k % 2 else (k - 1, 2 * k) for k in range(1, upto + 1)
+        ]
+    else:
+        rows = [
+            (k, 2 * k - 2) if k % 2 else (k // 2, k - 1) for k in range(1, upto + 1)
+        ]
+    return ((0, 0), *rows)
+
+
 def max_real_index(kind: Algebra, box: RootVector) -> int:
     """Largest k whose beta_low(k) or beta_high(k) fits under box, else 0.
 
-    Ladder coordinates are not monotone in k for the twisted algebra, so
-    this scans every index up to a safe cap instead of stopping early.
+    Ladder coordinates are not monotone in k for the twisted algebra, but
+    each ladder splits into runs (every k for sl2hat, odd and even k for
+    a2(2)) along which both coordinates grow linearly in a parameter j.
+    The roots of a run that fit under box are an initial segment, so its
+    last fitting j is the smaller of two floor quotients; a run with no
+    fitting root gives a k <= 0.
     """
-    best = 0
-    cap = 2 * max(box.a, box.b, 0) + 2
-    for k in range(1, cap + 1):
-        for family in FAMILIES:
-            r = beta(kind, family, k)
-            if r.a <= box.a and r.b <= box.b:
-                best = k
-    return best
+    A, B = box.a, box.b
+    if kind is Algebra.SL2_HAT:
+        # low (k-1, k), high (k, k-1)
+        return max(0, min(A + 1, B), min(A, B + 1))
+    return max(
+        0,
+        2 * min(A, (B - 1) // 2) + 1,  # low 2j+1: (j, 2j+1)
+        2 * min((A + 1) // 2, B // 4),  # low 2j: (2j-1, 4j)
+        2 * min((A - 1) // 2, B // 4) + 1,  # high 2j+1: (2j+1, 4j)
+        2 * min(A, (B + 1) // 2),  # high 2j: (j, 2j-1)
+    )
 
 
 class LabeledRoot(NamedTuple):

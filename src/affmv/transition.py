@@ -1,12 +1,17 @@
 """The transition map: the unique MV partner of a Lusztig datum.
 
-Two solvers are shipped.  The baseline enumerates every datum of the
-right weight and keeps those that pass the MV check; the production
-solver searches multiplicities ladder by ladder, pruning with the
-condition that becomes settled as soon as an index is chosen, and closes
-off with the handful of partitions the vertical-edge condition allows.
-Both assert that exactly one completion exists and abort loudly if the
-search ever contradicts that.
+Two solvers are shipped.  The oracle enumerates every datum of the
+right weight and keeps those that pass the MV check; it is the
+generate-and-test reference.  The production solver solves for the
+multiplicities instead: at each ladder index the MV condition settled
+there is linear in the one multiplicity being chosen, so it yields no
+value, one value or an interval directly.  The two ladders of the
+unknown datum are searched once each, iteratively, and joined on the
+weight they leave over, which must be a multiple of delta; runs of
+indices where the condition forces zero are skipped in one step.  The
+leftover closes off with the handful of partitions the vertical-edge
+condition allows.  Both solvers assert that exactly one completion
+exists and abort loudly if the search ever contradicts that.
 
 Completing from the left and completing from the right are one map T,
 an involution: the MV relation is symmetric under exchanging the two
@@ -25,7 +30,7 @@ cache behaves as a pure function table.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Iterator, Sequence
 
 from .lusztig import (
     LusztigDatum,
@@ -38,7 +43,6 @@ from .lusztig import (
 )
 from .polytope import (
     DecoratedPolytope,
-    PathPrefixes,
     mv_violations,
     part_size_ratio,
     path_prefixes,
@@ -48,8 +52,7 @@ from .roots import (
     LOW,
     Algebra,
     RootVector,
-    beta,
-    delta_multiple,
+    ladder_table,
     max_real_index,
 )
 
@@ -140,56 +143,82 @@ def _oracle_completions(known: LusztigDatum) -> list[LusztigDatum]:
     return out
 
 
-def _family_choices(
-    kind: Algebra,
-    family: str,
-    start: RootVector,
-    K: int,
-    settled_ok: Callable[[int, list[int], list[int]], bool],
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], RootVector]]:
-    """All prefix assignments of one ladder that fit under `start`.
+_Picks = tuple[tuple[int, int], ...]
 
-    Yields (mults, prefix_a, prefix_b, residual) with arrays of length
-    K+1.  settled_ok(k, pa, pb) is consulted once index k is fixed; a
-    False verdict prunes the whole subtree below that choice, which is
-    sound because later indices cannot change an already settled prefix.
+
+def _next_support(d: LusztigDatum, family: str, K: int) -> list[int]:
+    """nxt[k]: the smallest index j >= k where d has an entry on `family`.
+
+    K+1 stands for "none"; the list has length K+2.
     """
-    pa = [0] * (K + 1)
-    pb = [0] * (K + 1)
-    mults = [0] * (K + 1)
-    ladder = [beta(kind, family, k) for k in range(1, K + 1)]
+    nxt = [K + 1] * (K + 2)
+    support = {e.k for e in d.real if e.family == family}
+    for k in range(K, 0, -1):
+        nxt[k] = k if k in support else nxt[k + 1]
+    return nxt
 
-    def rec(k: int, ra: int, rb: int) -> Iterator[
-        tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], RootVector]
-    ]:
-        if k > K:
-            yield tuple(mults), tuple(pa), tuple(pb), RootVector(ra, rb)
-            return
-        root = ladder[k - 1]
-        top = min(
-            ra // root.a if root.a else ra + rb,
-            rb // root.b if root.b else ra + rb,
-        )
-        for m in range(top + 1):
-            pa[k] = pa[k - 1] + m * root.a
-            pb[k] = pb[k - 1] + m * root.b
-            mults[k] = m
-            if k >= 2 and not settled_ok(k, pa, pb):
+
+def _ladder_leaves(
+    table: Sequence[tuple[int, int]],
+    X: tuple[int, ...],
+    Y: tuple[int, ...],
+    nxt: list[int],
+    wx: int,
+    wy: int,
+) -> Iterator[tuple[_Picks, int, int]]:
+    """The choices on one ladder of the unknown datum that pass its MV condition.
+
+    A choice passes when it meets the condition at every index 2..K and
+    fits under the weight (wx, wy).  Coordinates are (x, y): (a, b) for
+    the high ladder, (b, a) for the low one, so that both conditions read
+    max(Uy[k] - Y[k-1], X[k] - Ux[k-1]) == 0, where U are the prefix sums
+    of the unknown ladder, table[k] its k-th root, and X, Y the prefix
+    sums of the known datum on the paired ladder.  Yields (picks, rx,
+    ry): the nonzero multiplicities as (k, m) pairs in ascending k, and
+    the weight left over.
+    """
+    K = len(table) - 1
+    # Index 1 is (1, 0) in these coordinates and has no condition of its
+    # own; the c term at index 2 is X[2] - m, so m starts at X[2].  Each
+    # such m gets its own stack, so memory stays bounded however many
+    # values it takes.
+    for m1 in range(X[2], wx + 1):
+        stack = [(2, wx - m1, wy, ((1, m1),) if m1 else ())]
+        while stack:
+            k, rx, ry, picks = stack.pop()
+            if k > K:
+                yield picks, rx, ry
                 continue
-            yield from rec(k + 1, ra - m * root.a, rb - m * root.b)
+            c = X[k] - (wx - rx)
+            gap = Y[k - 1] - (wy - ry)
+            if c > 0 or gap < 0:
+                continue
+            if gap == 0:
+                # m = 0 is forced, and stays forced until the known datum
+                # has an entry again: see _dfs_completions.
+                stack.append((max(k + 1, nxt[k]), rx, ry, picks))
+                continue
+            sx, sy = table[k]
+            q, r = divmod(gap, sy)
+            top = min(q, rx // sx, ry // sy)
+            if c < 0 and (r or q != top):
+                continue
+            for m in range(top, -1, -1) if c == 0 else (top,):
+                stack.append(
+                    (k + 1, rx - m * sx, ry - m * sy, picks + ((k, m),) if m else picks)
+                )
 
-    yield from rec(1, start.a, start.b)
 
-
-def _ladder_defect(kind: Algebra, v: RootVector) -> int:
-    """How far v leans to the alpha1 side of the imaginary direction.
+def _ladder_defect(kind: Algebra, a: int, b: int) -> int:
+    """How far (a, b) leans to the alpha1 side of the imaginary direction.
 
     Low-ladder roots have positive defect, high-ladder roots negative,
-    delta has zero, so the sign decides which ladder can absorb v.
+    delta has zero, so two vectors differ by a multiple of delta exactly
+    when their defects agree.
     """
     if kind is Algebra.SL2_HAT:
-        return v.b - v.a
-    return v.b - 2 * v.a
+        return b - a
+    return b - 2 * a
 
 
 def _delta_candidates(
@@ -219,56 +248,81 @@ def _delta_candidates(
 
 
 def _assemble(
-    kind: Algebra,
-    low_mults: tuple[int, ...],
-    high_mults: tuple[int, ...],
-    parts: Partition,
+    kind: Algebra, low_picks: _Picks, high_picks: _Picks, parts: Partition
 ) -> LusztigDatum:
-    real = [
-        RealEntry(LOW, k, m) for k, m in enumerate(low_mults) if k >= 1 and m
-    ] + [RealEntry(HIGH, k, m) for k, m in enumerate(high_mults) if k >= 1 and m]
+    real = [RealEntry(LOW, k, m) for k, m in low_picks]
+    real += [RealEntry(HIGH, k, m) for k, m in high_picks]
     return LusztigDatum(kind, tuple(real), parts)
 
 
 def _dfs_completions(known: LusztigDatum) -> list[LusztigDatum]:
-    """Pruned search for every partner of `known`.
+    """Solved search for every partner of `known`.
 
-    The unknown datum sits on the left.  Its high ladder pairs with the
-    known low prefixes in condition 1 and is assigned first, pruning
-    index by index; its low ladder follows the same way against the
-    known high prefixes in condition 2; the leftover weight must be
-    imaginary and admits at most three candidate partitions.  Every
-    assembled pair still runs the full MV check, so pruning only ever
-    affects speed, not the answer.
+    The unknown datum sits on the left.  Condition 1 at index k reads
+    its high ladder against the known low prefixes, condition 2 its low
+    ladder against the known high prefixes, and at each k >= 2 exactly
+    one term depends on the multiplicity m being chosen, linearly with
+    the positive slope s (root.b on the high ladder, root.a on the low
+    one).  Written as max(c, s*m - gap) == 0, the condition allows no m
+    when c > 0 or gap < 0, every m in 0..gap//s when c == 0, and only
+    m = gap/s when c < 0: one divmod, no filtering.
 
-    Either ladder could go first.  High first is the faster order in
-    total: on the 426 DFS inputs of the benchmark's `complete` workload
-    (seeds 1-2, Python 3.11, one Xeon core) it took 13.3 s against 18.1 s
-    for low first, with identical answers, although the ratio per input
-    ranges from 0.15 to 4.5.
+    The low ladder never reads the high choices, so each ladder is
+    searched once, both bounded by the weight.  The high leaves are
+    tabled by the defect of their residual r, and each low leaf, whose
+    used weight is u, joins those with the defect of u; then r - u is
+    n*delta, and n >= 0 is the last requirement.  The low leaves are
+    streamed, so a heavy alpha1 costs time but no memory.  The leftover
+    admits at most three candidate partitions.
+
+    When gap == 0 only m = 0 is allowed.  If the known datum has no
+    entry at k on the paired ladder, then at k+1 the gap is still 0 and
+    c is unchanged (c moves only with the known entry at k+1), so m = 0
+    stays forced until the known datum's next support index, where the
+    search resumes; with none left the choice is complete.
+
+    Every assembled pair still runs the full MV check, so solving and
+    skipping only ever affect speed, not the answer.
     """
     kind = known.kind
     w = weight(known)
     K = max(2, 1 + max_real_index(kind, w))
     kp = path_prefixes(known, K)
+    high = _ladder_leaves(
+        ladder_table(kind, HIGH, K),
+        kp.low_a,
+        kp.low_b,
+        _next_support(known, LOW, K),
+        w.a,
+        w.b,
+    )
+    low = _ladder_leaves(
+        [(b, a) for a, b in ladder_table(kind, LOW, K)],
+        kp.high_b,
+        kp.high_a,
+        _next_support(known, HIGH, K),
+        w.b,
+        w.a,
+    )
+    # Low-ladder weights have defect >= 0, so no other high residual can
+    # join; dropping those keeps the table small when alpha0 is heavy.
+    by_defect: dict[int, list[tuple[_Picks, int, int]]] = {}
+    for picks, ra, rb in high:
+        defect = _ladder_defect(kind, ra, rb)
+        if defect >= 0:
+            by_defect.setdefault(defect, []).append((picks, ra, rb))
+
     sols: list[LusztigDatum] = []
-
-    def cond1(k: int, pa: list[int], pb: list[int]) -> bool:
-        return max(pb[k] - kp.low_b[k - 1], kp.low_a[k] - pa[k - 1]) == 0
-
-    def cond2(k: int, qa: list[int], qb: list[int]) -> bool:
-        return min(kp.high_a[k - 1] - qa[k], qb[k - 1] - kp.high_b[k]) == 0
-
-    for high_m, pa1, pb1, res1 in _family_choices(kind, HIGH, w, K, cond1):
-        if _ladder_defect(kind, res1) < 0:
-            continue
-        for low_m, pa2, pb2, res2 in _family_choices(kind, LOW, res1, K, cond2):
-            n = delta_multiple(kind, res2)
-            if n is None:
+    for low_picks, rb, ra in low:
+        ua, ub = w.a - ra, w.b - rb
+        for high_picks, ha, hb in by_defect.get(_ladder_defect(kind, ua, ub), ()):
+            n = ha - ua  # r - u == n*delta, and delta has a == 1
+            if n < 0:
                 continue
-            d1 = RootVector(kp.low_a[K] - pa1[K], kp.low_b[K] - pb1[K])
-            cp = PathPrefixes(pa2, pb2, pa1, pb1)
+            d1 = RootVector(kp.low_a[K] - (w.a - ha), kp.low_b[K] - (w.b - hb))
             for parts in _delta_candidates(kind, known.delta, n, d1):
+                cand = _assemble(kind, low_picks, high_picks, parts)
+                cp = path_prefixes(cand, K)
                 if not mv_violations(kind, w, cp, kp, parts, known.delta, K, True):
-                    sols.append(_assemble(kind, low_m, high_m, parts))
+                    sols.append(cand)
     return sols

@@ -63,6 +63,16 @@ class TestComplete:
             {"family": "high", "k": 1, "mult": 1},
         ]
 
+    def test_large_imaginary_datum_completes(self, capsys, tmp_path):
+        doc = {"algebra": "sl2hat", "real": [], "delta": [1000]}
+        path = write_doc(tmp_path, "d.json", doc)
+        code, out, _ = run(capsys, "complete", path, "--side", "right")
+        assert code == cli.EXIT_OK
+        assert json.loads(out)["left"]["real"] == [
+            {"family": "low", "k": 1, "mult": 1000},
+            {"family": "high", "k": 1, "mult": 1000},
+        ]
+
     def test_invalid_json_is_a_usage_error(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{", encoding="utf-8")

@@ -24,6 +24,7 @@ from affmv.roots import (
     coweight_pair,
     delta,
     delta_multiple,
+    ladder_table,
     length_ratio,
     max_real_index,
     positive_real_roots,
@@ -217,3 +218,37 @@ class TestLadders:
         for family in FAMILIES:
             v = beta(kind, family, cap + 1)
             assert v.a > box.a or v.b > box.b
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_max_real_index_matches_the_scan(self, kind):
+        """The closed form against a scan of every index up to a safe cap.
+
+        Every box up to (60, 120), empty and negative ones included.
+        """
+        rungs = [
+            (k, beta(kind, family, k)) for k in range(1, 243) for family in FAMILIES
+        ]
+
+        def scan(box):
+            cap = 2 * max(box.a, box.b, 0) + 2
+            best = 0
+            for k, r in rungs:
+                if k <= cap and r.a <= box.a and r.b <= box.b:
+                    best = k
+            return best
+
+        for a in range(-2, 61):
+            for b in range(-2, 121):
+                box = RootVector(a, b)
+                assert max_real_index(kind, box) == scan(box), box
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_ladder_table_lists_beta(self, kind):
+        for family in FAMILIES:
+            table = ladder_table(kind, family, 40)
+            assert table[0] == (0, 0) and len(table) == 41
+            for k in range(1, 41):
+                r = beta(kind, family, k)
+                assert table[k] == (r.a, r.b)
+        with pytest.raises(ValueError):
+            ladder_table(kind, "middle", 3)

@@ -1,10 +1,15 @@
 """Transition layer: unique completion of one side of a polytope.
 
-Both solvers are compared on exhaustive boxes; small partners are
-frozen; completing twice inverts the map on every enumerated datum.
-Hypothesis properties carry the involution and the side symmetry of the
-MV verdict to random data past those boxes.
+Both solvers are compared on exhaustive boxes and on seeded random data
+of a larger box; small partners are frozen; completing twice inverts
+the map on every enumerated datum.  Hypothesis properties carry the
+involution and the side symmetry of the MV verdict to random data past
+those boxes, and a few data with a ladder index or a part in the
+thousands pin the search's independence from the recursion limit.
 """
+
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -93,6 +98,17 @@ class TestSolverAgreement:
             )
 
     @pytest.mark.parametrize("kind", KINDS)
+    def test_dfs_matches_the_oracle_on_random_data(self, kind):
+        """Random data of every weight up to (10, 10), seeded."""
+        rng = random.Random(1209)
+        for _ in range(150):
+            w = RootVector(rng.randint(0, 10), rng.randint(0, 10))
+            d = rng.choice(enumerate_data(kind, w))
+            assert transition_l_to_r(d, solver=DFS) == transition_l_to_r(
+                d, solver=ORACLE
+            )
+
+    @pytest.mark.parametrize("kind", KINDS)
     def test_completing_twice_is_the_identity(self, kind):
         for d in tiny_data(kind):
             assert transition_l_to_r(transition_r_to_l(d)) == d
@@ -106,6 +122,43 @@ class TestSolverAgreement:
             assert weight(partner) == weight(d)
             moved += partner != d
         assert moved > 0
+
+
+LARGE_DATA = {
+    "sl2hat delta=[1000]": datum(Algebra.SL2_HAT, delta_parts=(1000,)),
+    "sl2hat low 5000": datum(Algebra.SL2_HAT, {(LOW, 5000): 1}),
+    "a2(2) high 3000": datum(Algebra.A2_TWISTED, {(HIGH, 3000): 1}),
+}
+
+
+class TestLargeData:
+    """Data whose ladder index or partition runs into the thousands."""
+
+    @pytest.mark.parametrize("d", LARGE_DATA.values(), ids=LARGE_DATA.keys())
+    def test_T_is_a_weight_preserving_involution(self, d):
+        partner = transition_l_to_r(d)
+        assert transition_l_to_r(partner) == d
+        assert weight(partner) == weight(d)
+        assert is_mv(DecoratedPolytope(partner, d)).ok
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_a_heavy_simple_root_completes_in_bounded_memory(self, family):
+        """20,000 choices at ladder index 1 are searched one at a time."""
+        d = datum(Algebra.SL2_HAT, {(family, 1): 20000})
+        clear_cache()
+        tracemalloc.start()
+        try:
+            partner = transition_l_to_r(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert partner == d
+        assert peak < 2**20
+
+    def test_imaginary_datum_completes_to_its_trapezoid(self):
+        sl2 = Algebra.SL2_HAT
+        P = complete_from_right(datum(sl2, delta_parts=(1000,)))
+        assert P.left == trapezoid_datum(sl2, (1000,))
 
 
 class TestPlumbing:
@@ -174,7 +227,7 @@ class TestInvolutionProperties:
     @settings(deadline=None, max_examples=60)
     @given(st.data())
     def test_T_is_a_weight_preserving_involution(self, kind, data):
-        d = data.draw(bounded_data(kind))
+        d = data.draw(bounded_data(kind, max_height=200))
         partner = transition_l_to_r(d)
         assert transition_l_to_r(partner) == d
         assert weight(partner) == weight(d)

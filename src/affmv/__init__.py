@@ -17,12 +17,11 @@ from .roots import (
     LabeledRoot,
     RootVector,
     beta,
-    beta_high,
-    beta_low,
     cartan_pair,
     coweight_pair,
     delta,
     delta_multiple,
+    ladder_root,
     length_ratio,
     max_real_index,
     positive_real_roots,

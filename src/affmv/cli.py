@@ -25,8 +25,8 @@ from .documents import (
     parse_polytope,
     polytope_to_obj,
 )
-from .lusztig import PreconditionViolated, UnsupportedKind
-from .polytope import is_mv
+from .lusztig import LusztigDatum, PreconditionViolated, UnsupportedKind
+from .polytope import DecoratedPolytope, is_mv
 from .render import render_svg, render_tikz
 from .roots import Algebra, RootVector
 from .transition import (
@@ -100,12 +100,14 @@ def _count(text: str) -> int:
     return value
 
 
+def _complete(d: LusztigDatum, side: str, solver: str = DFS) -> DecoratedPolytope:
+    """The polytope with d on `side`; the other datum is its completion."""
+    complete = complete_from_left if side == "left" else complete_from_right
+    return complete(d, solver=solver)
+
+
 def _cmd_complete(args: argparse.Namespace) -> int:
-    d = parse_datum(_read_json(args.input))
-    if args.side == "left":
-        P = complete_from_left(d, solver=args.solver)
-    else:
-        P = complete_from_right(d, solver=args.solver)
+    P = _complete(parse_datum(_read_json(args.input)), args.side, args.solver)
     sys.stdout.write(dumps(polytope_to_obj(P, with_vertices=True)))
     return EXIT_OK
 
@@ -122,7 +124,7 @@ def _cmd_op(args: argparse.Namespace) -> int:
         d = parse_datum(_read_json(args.start))
         if args.kind is not None and d.kind.value != args.kind:
             raise DocumentError("--kind disagrees with the start datum")
-        b = complete_from_left(d) if args.side == "left" else complete_from_right(d)
+        b = _complete(d, args.side)
     else:
         if args.kind is None:
             raise DocumentError("either --start or --kind is required")
@@ -162,7 +164,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
         P = parse_polytope(obj)
     else:
         d = parse_datum(obj)
-        P = complete_from_left(d) if args.side == "left" else complete_from_right(d)
+        P = _complete(d, args.side)
     sys.stdout.write(render_svg(P) if args.format == "svg" else render_tikz(P))
     return EXIT_OK
 

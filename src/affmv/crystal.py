@@ -3,9 +3,10 @@
 An element is a decorated polytope; its two Lusztig data stay
 synchronized through the transition map.  Raising and lowering
 operators touch the multiplicity of one extreme root on one side and
-re-complete the other side; the starred operators do the same with the
-sides exchanged.  Reflections are realized by twisting the datum whose
-extreme multiplicity vanishes and re-completing.
+re-complete the other side; each starred operator is its plain one
+conjugated by the Kashiwara involution `star`, which exchanges the sides.
+Reflections are realized by twisting the datum whose extreme
+multiplicity vanishes and re-completing.
 """
 
 from __future__ import annotations
@@ -75,21 +76,14 @@ def f(i: int, b: DecoratedPolytope) -> DecoratedPolytope | None:
 
 
 def e_star(i: int, b: DecoratedPolytope) -> DecoratedPolytope:
-    """Raising operator conjugated by the side-swapping involution."""
-    _check_node(i)
-    if i == 0:
-        return complete_from_left(_bump(b.left, HIGH, 1))
-    return complete_from_right(_bump(b.right, LOW, 1))
+    """Raising operator conjugated by star: e_i* = * e_i *."""
+    return star(e(i, star(b)))
 
 
 def f_star(i: int, b: DecoratedPolytope) -> DecoratedPolytope | None:
-    """Lowering operator conjugated by the side-swapping involution."""
-    _check_node(i)
-    if phi_star(i, b) == 0:
-        return None
-    if i == 0:
-        return complete_from_left(_bump(b.left, HIGH, -1))
-    return complete_from_right(_bump(b.right, LOW, -1))
+    """Lowering operator conjugated by star, or None at the string's bottom."""
+    down = f(i, star(b))
+    return None if down is None else star(down)
 
 
 def phi(i: int, b: DecoratedPolytope) -> int:
@@ -104,12 +98,11 @@ def eps(i: int, b: DecoratedPolytope) -> int:
 
 
 def phi_star(i: int, b: DecoratedPolytope) -> int:
-    _check_node(i)
-    return b.left.mult(HIGH, 1) if i == 0 else b.right.mult(LOW, 1)
+    return phi(i, star(b))
 
 
 def eps_star(i: int, b: DecoratedPolytope) -> int:
-    return phi_star(i, b) - cartan_pair(b.kind, i, b.weight)
+    return eps(i, star(b))
 
 
 def star(b: DecoratedPolytope) -> DecoratedPolytope:
@@ -137,13 +130,12 @@ def saito(i: int, b: DecoratedPolytope) -> DecoratedPolytope:
 
 def saito_star(i: int, b: DecoratedPolytope) -> DecoratedPolytope:
     """Reflection conjugated by star, defined when phi_i*(b) = 0."""
-    if phi_star(i, b) != 0:
+    sb = star(b)
+    if phi(i, sb) != 0:
         raise PreconditionViolated(
-            f"starred reflection at {i} needs phi_{i}* = 0, got {phi_star(i, b)}"
+            f"starred reflection at {i} needs phi_{i}* = 0, got {phi(i, sb)}"
         )
-    if i == 0:
-        return complete_from_right(twist_s(b.left, 0))
-    return complete_from_left(twist_s(b.right, 1))
+    return star(saito(i, sb))
 
 
 @dataclass(frozen=True)

@@ -119,18 +119,17 @@ def parse_polytope(obj: Any) -> DecoratedPolytope:
     right = parse_datum(obj["right"])
     if left.kind is not right.kind:
         raise DocumentError("left and right data use different algebras")
-    if weight(left) != weight(right):
+    try:
+        P = DecoratedPolytope(left, right)
+    except ValueError:  # the kinds agree, so only the weights can differ
         raise DocumentError(
             f"left weight {weight(left)} differs from right weight {weight(right)}"
+        ) from None
+    if "weight" in obj and obj["weight"] != [P.weight.a, P.weight.b]:
+        raise DocumentError(
+            f"declared weight {obj['weight']!r} does not match the data"
         )
-    if "weight" in obj:
-        claimed = obj["weight"]
-        actual = weight(left)
-        if claimed != [actual.a, actual.b]:
-            raise DocumentError(
-                f"declared weight {claimed!r} does not match the data"
-            )
-    return DecoratedPolytope(left, right)
+    return P
 
 
 def polytope_to_obj(

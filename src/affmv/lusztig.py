@@ -21,6 +21,7 @@ from .roots import (
     beta,
     delta,
     delta_multiple,
+    ladder_root,
     length_ratio,
     positive_real_roots,
     root_label,
@@ -221,10 +222,14 @@ def datum(
 
 def weight(d: LusztigDatum) -> RootVector:
     """Sum of all roots of the datum, counted with multiplicity."""
-    total = sum(d.delta) * delta(d.kind)
+    n = sum(d.delta)
+    dv = delta(d.kind)
+    a, b = n * dv.a, n * dv.b
     for family, k, mult in d.real:
-        total = total + mult * beta(d.kind, family, k)
-    return total
+        ra, rb = ladder_root(d.kind, family, k)
+        a += mult * ra
+        b += mult * rb
+    return RootVector(a, b)
 
 
 def is_purely_imaginary(d: LusztigDatum) -> bool:

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .lusztig import LusztigDatum, Partition, largest_part, remove_part
 from .lusztig import weight as datum_weight
-from .roots import HIGH, LOW, Algebra, RootVector, beta_high, beta_low
+from .roots import HIGH, LOW, Algebra, RootVector, ladder_root
 
 __all__ = [
     "DecoratedPolytope",
@@ -87,14 +87,14 @@ def path_prefixes(d: LusztigDatum, upto: int) -> PathPrefixes:
         ha[k], hb[k] = ha[k - 1], hb[k - 1]
         m = low.get(k, 0)
         if m:
-            r = beta_low(d.kind, k)
-            la[k] += m * r.a
-            lb[k] += m * r.b
+            a, b = ladder_root(d.kind, LOW, k)
+            la[k] += m * a
+            lb[k] += m * b
         m = high.get(k, 0)
         if m:
-            r = beta_high(d.kind, k)
-            ha[k] += m * r.a
-            hb[k] += m * r.b
+            a, b = ladder_root(d.kind, HIGH, k)
+            ha[k] += m * a
+            hb[k] += m * b
     return PathPrefixes(tuple(la), tuple(lb), tuple(ha), tuple(hb))
 
 

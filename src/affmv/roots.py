@@ -31,8 +31,7 @@ __all__ = [
     "simple_reflection",
     "coweight_pair",
     "length_ratio",
-    "beta_low",
-    "beta_high",
+    "ladder_root",
     "beta",
     "root_label",
     "ladder_table",
@@ -161,39 +160,31 @@ def length_ratio(kind: Algebra) -> int:
     return _LENGTH_RATIO[kind]
 
 
-def beta_low(kind: Algebra, k: int) -> RootVector:
-    """k-th root of the low ladder (the one through alpha1)."""
-    if k < 1:
-        raise ValueError(f"ladder index must be >= 1, got {k!r}")
-    if kind is Algebra.SL2_HAT:
-        return RootVector(k - 1, k)  # alpha1 + (k-1) delta
-    if k % 2:
-        j = (k - 1) // 2
-        return RootVector(j, 2 * j + 1)  # alpha1 + j delta
-    j = k // 2
-    return RootVector(2 * j - 1, 4 * j)  # 2 alpha1 + (2j-1) delta
+def ladder_root(kind: Algebra, family: str, k: int) -> tuple[int, int]:
+    """Coordinates (a, b) of the k-th root of a ladder, k >= 1, unchecked.
 
-
-def beta_high(kind: Algebra, k: int) -> RootVector:
-    """k-th root of the high ladder (the one through alpha0)."""
-    if k < 1:
-        raise ValueError(f"ladder index must be >= 1, got {k!r}")
+    The one closed form for both ladders; `root_label` and
+    `max_real_index` invert it.  sl2hat: alpha1 + (k-1) delta on the low
+    ladder, alpha0 + (k-1) delta on the high one.  a2(2), with j = k // 2:
+    low alternates alpha1 + j delta (odd k) and 2 alpha1 + (2j-1) delta
+    (even k); high alternates alpha0 + 2j delta (odd k) and
+    alpha0 + alpha1 + (j-1) delta (even k).  Any family other than LOW
+    reads as HIGH, so callers pass validated labels.
+    """
     if kind is Algebra.SL2_HAT:
-        return RootVector(k, k - 1)  # alpha0 + (k-1) delta
-    if k % 2:
-        j = (k - 1) // 2
-        return RootVector(2 * j + 1, 4 * j)  # alpha0 + 2j delta
-    j = k // 2
-    return RootVector(j, 2 * j - 1)  # alpha0 + alpha1 + (j-1) delta
+        return (k - 1, k) if family == LOW else (k, k - 1)
+    if family == LOW:
+        return (k // 2, k) if k % 2 else (k - 1, 2 * k)
+    return (k, 2 * k - 2) if k % 2 else (k // 2, k - 1)
 
 
 def beta(kind: Algebra, family: str, k: int) -> RootVector:
-    """Ladder lookup by family name."""
-    if family == LOW:
-        return beta_low(kind, k)
-    if family == HIGH:
-        return beta_high(kind, k)
-    raise ValueError(f"unknown family {family!r}")
+    """k-th root of the low ladder (through alpha1) or the high one (alpha0)."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    if k < 1:
+        raise ValueError(f"ladder index must be >= 1, got {k!r}")
+    return RootVector(*ladder_root(kind, family, k))
 
 
 def root_label(kind: Algebra, v: RootVector) -> tuple[str, int] | None:
@@ -217,30 +208,17 @@ def root_label(kind: Algebra, v: RootVector) -> tuple[str, int] | None:
 
 
 def ladder_table(kind: Algebra, family: str, upto: int) -> tuple[tuple[int, int], ...]:
-    """The coordinates (a, b) of beta(kind, family, k) for k = 0..upto.
+    """`ladder_root` for k = 0..upto, with (0, 0) at k = 0.
 
-    Entry k is the k-th root of the ladder and entry 0 is (0, 0), the
-    indexing of the prefix arrays in `polytope`.  Built from the closed
-    forms of `beta_low` and `beta_high` without constructing vectors.
+    Entry 0 matches the indexing of the prefix arrays in `polytope`.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    low = family == LOW
-    if kind is Algebra.SL2_HAT:
-        rows = [(k - 1, k) if low else (k, k - 1) for k in range(1, upto + 1)]
-    elif low:
-        rows = [
-            (k // 2, k) if k % 2 else (k - 1, 2 * k) for k in range(1, upto + 1)
-        ]
-    else:
-        rows = [
-            (k, 2 * k - 2) if k % 2 else (k // 2, k - 1) for k in range(1, upto + 1)
-        ]
-    return ((0, 0), *rows)
+    return ((0, 0), *(ladder_root(kind, family, k) for k in range(1, upto + 1)))
 
 
 def max_real_index(kind: Algebra, box: RootVector) -> int:
-    """Largest k whose beta_low(k) or beta_high(k) fits under box, else 0.
+    """Largest k whose root on either ladder fits under box, else 0.
 
     Ladder coordinates are not monotone in k for the twisted algebra, but
     each ladder splits into runs (every k for sl2hat, odd and even k for

@@ -256,34 +256,23 @@ def check_axioms(
         if not rule(g.nodes[src], g.nodes[dst]):
             t.fail(f"{name} edge {src}->{dst} does not bump the datum as required")
 
+    # The starred reflections (S3)/(S4) are the plain ones on star(b).
     for idx, b in enumerate(g.nodes):
+        sides = ((b, ("(S1)", "(S2)")), (crystal.star(b), ("(S3)", "(S4)")))
         for i in (0, 1):
-            if crystal.phi(i, b) == 0:
-                name = "(S1)" if i == 0 else "(S2)"
+            for x, names in sides:
+                if crystal.phi(i, x) != 0:
+                    continue
+                name = names[i]
                 t.hit(f"{name} nodes")
-                ref = crystal.saito(i, b)
-                twisted = twist_s(b.right, i) if i == 0 else twist_s(b.left, i)
+                ref = crystal.saito(i, x)
+                twisted = twist_s(x.right, i) if i == 0 else twist_s(x.left, i)
                 datum_of_ref = ref.left if i == 0 else ref.right
                 if datum_of_ref != twisted:
                     t.fail(f"{name} node {idx}: twist identity broken")
-                if ref.weight != simple_reflection(kind, i, b.weight):
+                if ref.weight != simple_reflection(kind, i, x.weight):
                     t.fail(f"{name} node {idx}: reflected weight wrong")
-                if _saito_formula(i, b, starred=False) != ref:
-                    t.fail(
-                        f"{name} node {idx}: operator formula disagrees "
-                        f"with the twist definition"
-                    )
-            if crystal.phi_star(i, b) == 0:
-                name = "(S3)" if i == 0 else "(S4)"
-                t.hit(f"{name} nodes")
-                ref = crystal.saito_star(i, b)
-                twisted = twist_s(b.left, i) if i == 0 else twist_s(b.right, i)
-                datum_of_ref = ref.right if i == 0 else ref.left
-                if datum_of_ref != twisted:
-                    t.fail(f"{name} node {idx}: twist identity broken")
-                if ref.weight != simple_reflection(kind, i, b.weight):
-                    t.fail(f"{name} node {idx}: reflected weight wrong")
-                if _saito_formula(i, b, starred=True) != ref:
+                if _saito_formula(i, x, starred=False) != ref:
                     t.fail(
                         f"{name} node {idx}: operator formula disagrees "
                         f"with the twist definition"
@@ -341,33 +330,30 @@ def check_saito_formulas(
     opposite_mismatches = 0
     first_mismatch = None
     for idx, b in enumerate(g.nodes):
+        # The starred formulas are the plain ones on star(b).
+        sides = (
+            (b, "reflection nodes", "formula disagrees with the reflection"),
+            (
+                crystal.star(b),
+                "starred reflection nodes",
+                "starred formula disagrees with the starred reflection",
+            ),
+        )
         for i in (0, 1):
-            if crystal.phi(i, b) == 0:
-                t.hit("reflection nodes")
-                ref = crystal.saito(i, b)
-                n0 = max(0, crystal.eps_star(i, b))
+            for x, nodes, what in sides:
+                if crystal.phi(i, x) != 0:
+                    continue
+                t.hit(nodes)
+                ref = crystal.saito(i, x)
+                n0 = max(0, crystal.eps_star(i, x))
                 for n in range(n0, n0 + slack + 1):
                     t.hit("formula evaluations")
-                    if _saito_formula(i, b, starred=False, n=n) != ref:
-                        t.fail(
-                            f"node {idx}, i={i}, exponent {n}: formula "
-                            f"disagrees with the reflection"
-                        )
-                if _saito_formula(i, b, starred=True) != ref:
+                    if _saito_formula(i, x, starred=False, n=n) != ref:
+                        t.fail(f"node {idx}, i={i}, exponent {n}: {what}")
+                if x is b and _saito_formula(i, b, starred=True) != ref:
                     opposite_mismatches += 1
                     if first_mismatch is None:
                         first_mismatch = f"node {idx} (weight {b.weight}), i={i}"
-            if crystal.phi_star(i, b) == 0:
-                t.hit("starred reflection nodes")
-                ref = crystal.saito_star(i, b)
-                n0 = max(0, crystal.eps(i, b))
-                for n in range(n0, n0 + slack + 1):
-                    t.hit("formula evaluations")
-                    if _saito_formula(i, b, starred=True, n=n) != ref:
-                        t.fail(
-                            f"node {idx}, i={i}, exponent {n}: starred formula "
-                            f"disagrees with the starred reflection"
-                        )
     t.hit("opposite pairing mismatches", opposite_mismatches)
     if first_mismatch is not None:
         t.notes.append(
@@ -399,19 +385,17 @@ def check_crystal_axioms(
     if bottoms != [0]:
         t.fail(f"expected exactly node 0 with no lowering moves, got {bottoms}")
 
+    # The starred operators are checked as the plain ones on star(b).
     for idx, b in enumerate(g.nodes):
+        sides = ((b, ""), (crystal.star(b), "*"))
         for i in (0, 1):
             t.hit("inverse checks")
-            if crystal.f(i, crystal.e(i, b)) != b:
-                t.fail(f"node {idx}: f_{i} e_{i} is not the identity")
-            down = crystal.f(i, b)
-            if down is not None and crystal.e(i, down) != b:
-                t.fail(f"node {idx}: e_{i} f_{i} is not the identity")
-            if crystal.f_star(i, crystal.e_star(i, b)) != b:
-                t.fail(f"node {idx}: f_{i}* e_{i}* is not the identity")
-            down = crystal.f_star(i, b)
-            if down is not None and crystal.e_star(i, down) != b:
-                t.fail(f"node {idx}: e_{i}* f_{i}* is not the identity")
+            for x, s in sides:
+                if crystal.f(i, crystal.e(i, x)) != x:
+                    t.fail(f"node {idx}: f_{i}{s} e_{i}{s} is not the identity")
+                down = crystal.f(i, x)
+                if down is not None and crystal.e(i, down) != x:
+                    t.fail(f"node {idx}: e_{i}{s} f_{i}{s} is not the identity")
 
     alphas = {"e0": ALPHA0, "e1": ALPHA1, "e0*": ALPHA0, "e1*": ALPHA1}
     for src, label, dst in g.edges:
@@ -420,20 +404,16 @@ def check_crystal_axioms(
             t.fail(f"edge {src}->{dst} ({label}) does not add the simple root")
 
     for idx, b in enumerate(g.nodes):
+        sides = ((b, ""), (crystal.star(b), "*"))
         for i in (0, 1):
             t.hit("string length checks")
-            _, steps = _exhaust(lambda x: crystal.f(i, x), b)
-            if steps != crystal.phi(i, b):
-                t.fail(
-                    f"node {idx}: phi_{i} is {crystal.phi(i, b)} but "
-                    f"f_{i} applied {steps} times"
-                )
-            _, steps = _exhaust(lambda x: crystal.f_star(i, x), b)
-            if steps != crystal.phi_star(i, b):
-                t.fail(
-                    f"node {idx}: phi_{i}* is {crystal.phi_star(i, b)} but "
-                    f"f_{i}* applied {steps} times"
-                )
+            for x, s in sides:
+                _, steps = _exhaust(lambda y: crystal.f(i, y), x)
+                if steps != crystal.phi(i, x):
+                    t.fail(
+                        f"node {idx}: phi_{i}{s} is {crystal.phi(i, x)} but "
+                        f"f_{i}{s} applied {steps} times"
+                    )
             # Local structure of the (e_i, e_i*) interaction.  Each
             # component of the graph under these two operators is a
             # triangle (e_i steps one way, e_i* the other) that merges

@@ -4,6 +4,7 @@
 pair, absent operator), 2 unusable input, 3 a broken solver invariant.
 """
 
+import hashlib
 import io
 import json
 
@@ -160,6 +161,26 @@ class TestOp:
         assert code == cli.EXIT_FAIL
         assert "'s0' at position 1" in err
 
+    @pytest.mark.parametrize(
+        "word, kind, line",
+        [
+            (
+                "e0* s0*",
+                "sl2hat",
+                "operator 's0*' at position 1 failed: "
+                "starred reflection at 0 needs phi_0* = 0, got 1\n",
+            ),
+            (
+                "e1 s1*",
+                "a2(2)",
+                "operator 's1*' at position 1 failed: "
+                "starred reflection at 1 needs phi_1* = 0, got 1\n",
+            ),
+        ],
+    )
+    def test_starred_domain_violation_message(self, capsys, word, kind, line):
+        assert run(capsys, "op", word, "--kind", kind) == (cli.EXIT_FAIL, "", line)
+
     def test_flip_is_untwisted_only(self, capsys):
         code, _, err = run(capsys, "op", "tau", "--kind", "a2(2)")
         assert code == cli.EXIT_FAIL
@@ -236,6 +257,17 @@ class TestVerify:
         assert [r["name"] for r in reports] == ["crystal-axioms"]
         assert reports[0]["passed"] is True
         assert reports[0]["counts"]["lowest candidates"] == 1
+
+    @pytest.mark.parametrize("kind", ["sl2hat", "a2(2)"])
+    def test_default_json_reports_are_byte_stable(self, capsys, kind):
+        """Frozen sha256 of `verify all --json` at the default scales."""
+        digest = {
+            "sl2hat": "85d1702492ffbd1eddf9895fdf52533a359b27e3ac4da91eb5be892d2e5a91fe",
+            "a2(2)": "21e3ccc4cb888ea44185676178b7982f92a9150d02d222d7fe1f83d848c72ab7",
+        }[kind]
+        code, out, err = run(capsys, "verify", "all", "--kind", kind, "--json")
+        assert (code, err) == (cli.EXIT_OK, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_all_suites_at_tiny_scale(self, capsys):
         code, out, _ = run(

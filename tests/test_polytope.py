@@ -20,7 +20,7 @@ from affmv.polytope import (
     truncation_index,
     vertices,
 )
-from affmv.roots import HIGH, LOW, Algebra, RootVector, beta_high, beta_low
+from affmv.roots import HIGH, LOW, Algebra, RootVector, beta
 from conftest import KINDS, SMALL_BOX
 
 
@@ -44,11 +44,11 @@ class TestPrefixes:
         pre = path_prefixes(d, 6)
         for k in range(7):
             low = sum(
-                (d.mult(LOW, j) * beta_low(kind, j) for j in range(1, k + 1)),
+                (d.mult(LOW, j) * beta(kind, LOW, j) for j in range(1, k + 1)),
                 RootVector(0, 0),
             )
             high = sum(
-                (d.mult(HIGH, j) * beta_high(kind, j) for j in range(1, k + 1)),
+                (d.mult(HIGH, j) * beta(kind, HIGH, j) for j in range(1, k + 1)),
                 RootVector(0, 0),
             )
             assert (pre.low_a[k], pre.low_b[k]) == (low.a, low.b)

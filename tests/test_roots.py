@@ -9,21 +9,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from affmv.lusztig import enumerate_data, weight
 from affmv.roots import (
     ALPHA0,
     ALPHA1,
     FAMILIES,
+    HIGH,
     LOW,
     ZERO,
     Algebra,
     RootVector,
     beta,
-    beta_high,
-    beta_low,
     cartan_pair,
     coweight_pair,
     delta,
     delta_multiple,
+    ladder_root,
     ladder_table,
     length_ratio,
     max_real_index,
@@ -32,7 +33,7 @@ from affmv.roots import (
     simple_reflection,
     symmetrized_form,
 )
-from conftest import KINDS
+from conftest import KINDS, SMALL_BOX
 
 BOX = {
     Algebra.SL2_HAT: RootVector(8, 8),
@@ -55,6 +56,25 @@ def is_positive_real(kind: Algebra, v: RootVector) -> bool:
     if abs(gap) == 1:
         return True
     return abs(gap) == 2 and v.a % 2 == 1
+
+
+def reference_rung(kind: Algebra, family: str, k: int) -> RootVector:
+    """The ladders as first written, one closed form per family and algebra."""
+    if kind is Algebra.SL2_HAT:
+        if family == LOW:
+            return RootVector(k - 1, k)  # alpha1 + (k-1) delta
+        return RootVector(k, k - 1)  # alpha0 + (k-1) delta
+    if family == LOW:
+        if k % 2:
+            j = (k - 1) // 2
+            return RootVector(j, 2 * j + 1)  # alpha1 + j delta
+        j = k // 2
+        return RootVector(2 * j - 1, 4 * j)  # 2 alpha1 + (2j-1) delta
+    if k % 2:
+        j = (k - 1) // 2
+        return RootVector(2 * j + 1, 4 * j)  # alpha0 + 2j delta
+    j = k // 2
+    return RootVector(j, 2 * j - 1)  # alpha0 + alpha1 + (j-1) delta
 
 
 def box_vectors(kind: Algebra):
@@ -191,8 +211,8 @@ class TestLadders:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_first_rungs(self, kind):
-        assert beta_low(kind, 1) == ALPHA1
-        assert beta_high(kind, 1) == ALPHA0
+        assert beta(kind, LOW, 1) == ALPHA1
+        assert beta(kind, HIGH, 1) == ALPHA0
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_non_roots_have_no_label(self, kind):
@@ -205,8 +225,16 @@ class TestLadders:
     @pytest.mark.parametrize("kind", KINDS)
     def test_rungs_indexed_from_one(self, kind):
         for family in FAMILIES:
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=r"^ladder index must be >= 1, got 0$"):
                 beta(kind, family, 0)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_unknown_family_is_checked_before_the_index(self, kind):
+        for k in (0, 1):
+            with pytest.raises(ValueError, match=r"^unknown family 'middle'$"):
+                beta(kind, "middle", k)
+        with pytest.raises(ValueError, match=r"^unknown family 'middle'$"):
+            ladder_table(kind, "middle", 3)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_max_real_index_covers_the_box(self, kind):
@@ -243,12 +271,22 @@ class TestLadders:
                 assert max_real_index(kind, box) == scan(box), box
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_ladder_table_lists_beta(self, kind):
+    def test_ladder_root_beta_and_table_match_the_closed_forms(self, kind):
         for family in FAMILIES:
-            table = ladder_table(kind, family, 40)
-            assert table[0] == (0, 0) and len(table) == 41
-            for k in range(1, 41):
-                r = beta(kind, family, k)
-                assert table[k] == (r.a, r.b)
-        with pytest.raises(ValueError):
-            ladder_table(kind, "middle", 3)
+            table = ladder_table(kind, family, 300)
+            assert table[0] == (0, 0) and len(table) == 301
+            for k in range(1, 301):
+                r = reference_rung(kind, family, k)
+                assert ladder_root(kind, family, k) == (r.a, r.b) == table[k]
+                assert beta(kind, family, k) == r
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_weight_sums_the_ladder_roots(self, kind):
+        box = SMALL_BOX[kind]
+        for a in range(box.a + 1):
+            for b in range(box.b + 1):
+                for d in enumerate_data(kind, RootVector(a, b)):
+                    total = sum(d.delta) * delta(kind)
+                    for family, k, mult in d.real:
+                        total = total + mult * beta(kind, family, k)
+                    assert weight(d) == total == RootVector(a, b)

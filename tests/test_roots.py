@@ -271,6 +271,17 @@ class TestLadders:
                 assert max_real_index(kind, box) == scan(box), box
 
     @pytest.mark.parametrize("kind", KINDS)
+    def test_ladder_table_lists_beta(self, kind):
+        for family in FAMILIES:
+            table = ladder_table(kind, family, 40)
+            assert table[0] == (0, 0) and len(table) == 41
+            for k in range(1, 41):
+                r = beta(kind, family, k)
+                assert table[k] == (r.a, r.b)
+        with pytest.raises(ValueError):
+            ladder_table(kind, "middle", 3)
+
+    @pytest.mark.parametrize("kind", KINDS)
     def test_ladder_root_beta_and_table_match_the_closed_forms(self, kind):
         for family in FAMILIES:
             table = ladder_table(kind, family, 300)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .lusztig import LusztigDatum, PreconditionViolated, datum, twist_s, twist_tau
 from .polytope import DecoratedPolytope
 from .roots import ALPHA0, ALPHA1, HIGH, LOW, ZERO, Algebra, RootVector, cartan_pair
+from .roots import _check_node
 from .transition import complete_from_left, complete_from_right
 
 __all__ = [
@@ -48,11 +49,6 @@ def lowest(kind: Algebra) -> DecoratedPolytope:
     return DecoratedPolytope(zero, zero)
 
 
-def _check_node(i: int) -> None:
-    if i not in (0, 1):
-        raise ValueError(f"node index must be 0 or 1, got {i!r}")
-
-
 def _bump(d: LusztigDatum, family: str, by: int) -> LusztigDatum:
     return d.with_mult(family, 1, d.mult(family, 1) + by)
 
@@ -67,8 +63,7 @@ def e(i: int, b: DecoratedPolytope) -> DecoratedPolytope:
 
 def f(i: int, b: DecoratedPolytope) -> DecoratedPolytope | None:
     """Lower along alpha_i, or None at the bottom of the string."""
-    _check_node(i)
-    if phi(i, b) == 0:
+    if phi(i, b) == 0:  # phi checks the node index
         return None
     if i == 0:
         return complete_from_right(_bump(b.right, HIGH, -1))

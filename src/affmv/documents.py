@@ -11,12 +11,12 @@ mutually inverse on everything the tool emits.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Callable
 
 from .crystal import CrystalGraph
-from .lusztig import LusztigDatum, datum, weight
+from .lusztig import LusztigDatum, _check_entry, _check_partition, datum, weight
 from .polytope import DecoratedPolytope, MVVerdict, is_mv, vertices
-from .roots import FAMILIES, LOW, Algebra
+from .roots import LOW, Algebra
 
 __all__ = [
     "DocumentError",
@@ -69,24 +69,23 @@ def parse_datum(obj: Any) -> LusztigDatum:
             raise DocumentError("each real entry must be an object")
         _require_keys(item, ("family", "k", "mult"), (), "real entry")
         family, k, mult = item["family"], item["k"], item["mult"]
-        if family not in FAMILIES:
-            raise DocumentError(f"unknown family {family!r}")
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-            raise DocumentError(f"ladder index must be an integer >= 1, got {k!r}")
-        if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
-            raise DocumentError(f"multiplicity must be an integer >= 1, got {mult!r}")
+        _datum_rule(_check_entry, family, k, mult)
         if (family, k) in entries:
             raise DocumentError(f"duplicate real entry for ({family}, {k})")
         entries[(family, k)] = mult
     parts = obj.get("delta", [])
     if not isinstance(parts, list):
         raise DocumentError("'delta' must be a list")
-    for i, part in enumerate(parts):
-        if not isinstance(part, int) or isinstance(part, bool) or part < 1:
-            raise DocumentError(f"partition parts must be integers >= 1, got {part!r}")
-        if i and parts[i - 1] < part:
-            raise DocumentError(f"partition must be weakly decreasing, got {parts!r}")
+    _datum_rule(_check_partition, parts)
     return datum(kind, entries, parts)
+
+
+def _datum_rule(check: Callable[..., None], *args: Any) -> None:
+    """Apply a validity rule of `lusztig`; a failure is a document error."""
+    try:
+        check(*args)
+    except ValueError as err:
+        raise DocumentError(str(err)) from None
 
 
 def datum_to_obj(d: LusztigDatum) -> dict:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .roots import (
     FAMILIES,
@@ -18,6 +18,7 @@ from .roots import (
     LOW,
     Algebra,
     RootVector,
+    _check_node,
     beta,
     delta,
     delta_multiple,
@@ -66,14 +67,16 @@ class PartAbsent(ValueError):
 Partition = tuple[int, ...]
 
 
-def _check_partition(p: Iterable[int]) -> Partition:
-    t = tuple(p)
-    for i, part in enumerate(t):
-        if not isinstance(part, int) or part < 1:
-            raise ValueError(f"partition parts must be positive integers, got {t!r}")
-        if i and t[i - 1] < part:
-            raise ValueError(f"partition parts must be weakly decreasing, got {t!r}")
-    return t
+def _check_partition(parts: Sequence[int]) -> None:
+    """The rule for a stored partition, checked part by part in order.
+
+    Parts are exact integers: of type `int` itself, so not a `bool`.
+    """
+    for i, part in enumerate(parts):
+        if type(part) is not int or part < 1:
+            raise ValueError(f"partition parts must be integers >= 1, got {part!r}")
+        if i and parts[i - 1] < part:
+            raise ValueError(f"partition must be weakly decreasing, got {parts!r}")
 
 
 def largest_part(p: Partition) -> int:
@@ -91,8 +94,7 @@ def remove_part(p: Partition, s: int) -> Partition:
 
 def add_part(p: Partition, s: int) -> Partition:
     """Insert a part of size s >= 1, keeping parts weakly decreasing."""
-    if s < 1:
-        raise ValueError(f"part size must be >= 1, got {s!r}")
+    _check_partition((s,))
     i = 0
     while i < len(p) and p[i] >= s:
         i += 1
@@ -130,6 +132,16 @@ def _family_rank(family: str) -> int:
     return 0 if family == LOW else 1
 
 
+def _check_entry(family: object, k: object, mult: object) -> None:
+    """The rule for a stored real entry: a known ladder, exact integers >= 1."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    if type(k) is not int or k < 1:
+        raise ValueError(f"ladder index must be an integer >= 1, got {k!r}")
+    if type(mult) is not int or mult < 1:
+        raise ValueError(f"multiplicity must be an integer >= 1, got {mult!r}")
+
+
 @dataclass(frozen=True)
 class LusztigDatum:
     """Multiplicities on the real roots plus the imaginary partition.
@@ -145,14 +157,8 @@ class LusztigDatum:
 
     def __post_init__(self) -> None:
         prev = None
-        for entry in self.real:
-            family, k, mult = entry
-            if family not in FAMILIES:
-                raise ValueError(f"unknown family {family!r}")
-            if k < 1:
-                raise ValueError(f"ladder index must be >= 1, got {k!r}")
-            if mult < 1:
-                raise ValueError(f"stored multiplicities must be >= 1, got {mult!r}")
+        for family, k, mult in self.real:
+            _check_entry(family, k, mult)
             key = (_family_rank(family), k)
             if prev is not None and key <= prev:
                 raise ValueError(f"real entries out of canonical order: {self.real!r}")
@@ -171,16 +177,14 @@ class LusztigDatum:
 
     def with_mult(self, family: str, k: int, mult: int) -> "LusztigDatum":
         """Copy of this datum with one real multiplicity set to `mult`."""
-        if mult < 0:
-            raise ValueError(f"multiplicity must be >= 0, got {mult!r}")
         kept = [e for e in self.real if (e.family, e.k) != (family, k)]
-        if mult:
+        if mult != 0 or type(mult) is not int:  # only an exact 0 drops it
             kept.append(RealEntry(family, k, mult))
         kept.sort(key=lambda e: (_family_rank(e.family), e.k))
         return LusztigDatum(self.kind, tuple(kept), self.delta)
 
     def with_delta(self, parts: Iterable[int]) -> "LusztigDatum":
-        return LusztigDatum(self.kind, self.real, _check_partition(parts))
+        return LusztigDatum(self.kind, self.real, tuple(parts))
 
     @property
     def is_zero(self) -> bool:
@@ -196,6 +200,7 @@ def datum(
 
     Keys may be (family, k) pairs or positive real roots as RootVectors;
     zero multiplicities are dropped, the partition is sorted for you.
+    Ladder indices, multiplicities and parts must be exact integers.
     """
     entries: dict[tuple[str, int], int] = {}
     for key, mult in (real or {}).items():
@@ -204,20 +209,20 @@ def datum(
             if label is None:
                 raise ValueError(f"{key} is not a positive real root for {kind.value}")
         else:
-            family, k = key
-            if family not in FAMILIES or k < 1:
-                raise ValueError(f"bad real-root key {key!r}")
-            label = (family, k)
-        if mult < 0:
-            raise ValueError(f"multiplicity must be >= 0, got {mult!r}")
+            label = key
+        family, k = label
+        # A zero multiplicity is dropped, but its root is still checked.
+        _check_entry(family, k, 1 if mult == 0 and type(mult) is int else mult)
         if mult:
             entries[label] = entries.get(label, 0) + mult
     ordered = tuple(
         RealEntry(family, k, entries[(family, k)])
         for family, k in sorted(entries, key=lambda lab: (_family_rank(lab[0]), lab[1]))
     )
-    parts = tuple(sorted((int(s) for s in delta_parts), reverse=True))
-    return LusztigDatum(kind, ordered, parts)
+    parts = tuple(delta_parts)
+    for part in parts:  # one at a time, since they are not sorted yet
+        _check_partition((part,))
+    return LusztigDatum(kind, ordered, tuple(sorted(parts, reverse=True)))
 
 
 def weight(d: LusztigDatum) -> RootVector:
@@ -243,8 +248,7 @@ def twist_s(d: LusztigDatum, i: int) -> LusztigDatum:
     Defined only when the multiplicity at alpha_i vanishes, so that s_i
     permutes the support; the imaginary partition is untouched.
     """
-    if i not in (0, 1):
-        raise ValueError(f"node index must be 0 or 1, got {i!r}")
+    _check_node(i)
     pivot = (HIGH, 1) if i == 0 else (LOW, 1)
     if d.mult(*pivot):
         raise PreconditionViolated(
@@ -279,7 +283,8 @@ def trapezoid_datum(kind: Algebra, lam: Iterable[int]) -> LusztigDatum:
     weighted by the root-length ratio on the alpha1 side, and the rest of
     the partition stays imaginary.
     """
-    parts = _check_partition(lam)
+    parts = tuple(lam)
+    _check_partition(parts)
     if not parts:
         return datum(kind)
     top = parts[0]

@@ -19,7 +19,8 @@ from typing import NamedTuple
 
 from .lusztig import LusztigDatum, Partition, largest_part, remove_part
 from .lusztig import weight as datum_weight
-from .roots import HIGH, LOW, Algebra, RootVector, ladder_root
+from .roots import HIGH, LOW, Algebra, RootVector, ladder_root, lean, length_ratio
+from .roots import max_real_index
 
 __all__ = [
     "DecoratedPolytope",
@@ -28,6 +29,7 @@ __all__ = [
     "MVViolation",
     "MVVerdict",
     "truncation_index",
+    "weight_truncation_index",
     "path_prefixes",
     "vertices",
     "mv_violations",
@@ -103,6 +105,11 @@ def truncation_index(P: DecoratedPolytope) -> int:
     return max(2, 1 + max(P.left.max_support(), P.right.max_support()))
 
 
+def weight_truncation_index(kind: Algebra, w: RootVector) -> int:
+    """A `truncation_index` for every pair of weight w: no later root fits."""
+    return max(2, 1 + max_real_index(kind, w))
+
+
 @dataclass(frozen=True)
 class VertexFan:
     """The four vertex paths of a decorated polytope, truncated at K.
@@ -167,19 +174,15 @@ def part_size_ratio(kind: Algebra, diff: RootVector) -> tuple[int, int]:
     For a difference vector (a, b) between the two lower path endpoints
     the decorations may differ by one part of this size.
     """
-    if kind is Algebra.SL2_HAT:
-        return diff.b - diff.a, 1
-    return diff.b - 2 * diff.a, 2
+    return lean(kind, diff.a, diff.b), length_ratio(kind)
 
 
 def mv_violations(
     kind: Algebra,
-    w: RootVector,
     L: PathPrefixes,
     R: PathPrefixes,
     left_delta: Partition,
     right_delta: Partition,
-    upto: int,
     first_only: bool = False,
 ) -> list[MVViolation]:
     """All MV condition failures for a pair given as prefix arrays.
@@ -189,8 +192,11 @@ def mv_violations(
     polygon), condition 2 does the same for the upper paths, condition 3
     matches the two vertical-edge partitions up to one part of the
     prescribed size, and condition 4 bounds the largest parts by that
-    size.  With first_only the scan stops at the first failure.
+    size.  The scan runs to the arrays' last index, so all eight must
+    have one length and be constant from both supports on.  With
+    first_only the scan stops at the first failure.
     """
+    upto = len(L.low_a) - 1
     bad: list[MVViolation] = []
     for k in range(2, upto + 1):
         m = max(L.high_b[k] - R.low_b[k - 1], R.low_a[k] - L.high_a[k - 1])
@@ -256,7 +262,5 @@ def is_mv(P: DecoratedPolytope) -> MVVerdict:
     K = truncation_index(P)
     L = path_prefixes(P.left, K)
     R = path_prefixes(P.right, K)
-    found = mv_violations(
-        P.kind, P.weight, L, R, P.left.delta, P.right.delta, K
-    )
+    found = mv_violations(P.kind, L, R, P.left.delta, P.right.delta)
     return MVVerdict(not found, tuple(found))

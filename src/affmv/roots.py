@@ -31,6 +31,7 @@ __all__ = [
     "simple_reflection",
     "coweight_pair",
     "length_ratio",
+    "lean",
     "ladder_root",
     "beta",
     "root_label",
@@ -158,6 +159,15 @@ def coweight_pair(v: RootVector, i: int) -> int:
 def length_ratio(kind: Algebra) -> int:
     """|alpha0| / |alpha1| as an exact integer."""
     return _LENGTH_RATIO[kind]
+
+
+def lean(kind: Algebra, a: int, b: int) -> int:
+    """b - r*a with r = length_ratio(kind): how far (a, b) leans to alpha1.
+
+    Zero exactly on the multiples of delta, positive on the low ladder and
+    negative on the high one.
+    """
+    return b - _LENGTH_RATIO[kind] * a
 
 
 def ladder_root(kind: Algebra, family: str, k: int) -> tuple[int, int]:

@@ -46,6 +46,7 @@ from .polytope import (
     mv_violations,
     part_size_ratio,
     path_prefixes,
+    weight_truncation_index,
 )
 from .roots import (
     HIGH,
@@ -53,7 +54,7 @@ from .roots import (
     Algebra,
     RootVector,
     ladder_table,
-    max_real_index,
+    lean,
 )
 
 __all__ = [
@@ -133,12 +134,12 @@ def _oracle_completions(known: LusztigDatum) -> list[LusztigDatum]:
     """Generate and test: every datum of the same weight, MV-checked."""
     kind = known.kind
     w = weight(known)
-    K = max(2, 1 + max_real_index(kind, w))
+    K = weight_truncation_index(kind, w)
     kp = path_prefixes(known, K)
     out = []
     for cand in enumerate_data(kind, w):
         cp = path_prefixes(cand, K)
-        if not mv_violations(kind, w, cp, kp, cand.delta, known.delta, K, True):
+        if not mv_violations(kind, cp, kp, cand.delta, known.delta, True):
             out.append(cand)
     return out
 
@@ -209,18 +210,6 @@ def _ladder_leaves(
                 )
 
 
-def _ladder_defect(kind: Algebra, a: int, b: int) -> int:
-    """How far (a, b) leans to the alpha1 side of the imaginary direction.
-
-    Low-ladder roots have positive defect, high-ladder roots negative,
-    delta has zero, so two vectors differ by a multiple of delta exactly
-    when their defects agree.
-    """
-    if kind is Algebra.SL2_HAT:
-        return b - a
-    return b - 2 * a
-
-
 def _delta_candidates(
     kind: Algebra, lam: Partition, n: int, d1: RootVector
 ) -> list[Partition]:
@@ -269,8 +258,8 @@ def _dfs_completions(known: LusztigDatum) -> list[LusztigDatum]:
 
     The low ladder never reads the high choices, so each ladder is
     searched once, both bounded by the weight.  The high leaves are
-    tabled by the defect of their residual r, and each low leaf, whose
-    used weight is u, joins those with the defect of u; then r - u is
+    tabled by the lean of their residual r, and each low leaf, whose
+    used weight is u, joins those with the lean of u; then r - u is
     n*delta, and n >= 0 is the last requirement.  The low leaves are
     streamed, so a heavy alpha1 costs time but no memory.  The leftover
     admits at most three candidate partitions.
@@ -286,7 +275,7 @@ def _dfs_completions(known: LusztigDatum) -> list[LusztigDatum]:
     """
     kind = known.kind
     w = weight(known)
-    K = max(2, 1 + max_real_index(kind, w))
+    K = weight_truncation_index(kind, w)
     kp = path_prefixes(known, K)
     high = _ladder_leaves(
         ladder_table(kind, HIGH, K),
@@ -304,18 +293,18 @@ def _dfs_completions(known: LusztigDatum) -> list[LusztigDatum]:
         w.b,
         w.a,
     )
-    # Low-ladder weights have defect >= 0, so no other high residual can
-    # join; dropping those keeps the table small when alpha0 is heavy.
-    by_defect: dict[int, list[tuple[_Picks, int, int]]] = {}
+    # Low-ladder weights lean >= 0, so no other high residual can join;
+    # dropping those keeps the table small when alpha0 is heavy.
+    by_lean: dict[int, list[tuple[_Picks, int, int]]] = {}
     for picks, ra, rb in high:
-        defect = _ladder_defect(kind, ra, rb)
-        if defect >= 0:
-            by_defect.setdefault(defect, []).append((picks, ra, rb))
+        r_lean = lean(kind, ra, rb)
+        if r_lean >= 0:
+            by_lean.setdefault(r_lean, []).append((picks, ra, rb))
 
     sols: list[LusztigDatum] = []
     for low_picks, rb, ra in low:
         ua, ub = w.a - ra, w.b - rb
-        for high_picks, ha, hb in by_defect.get(_ladder_defect(kind, ua, ub), ()):
+        for high_picks, ha, hb in by_lean.get(lean(kind, ua, ub), ()):
             n = ha - ua  # r - u == n*delta, and delta has a == 1
             if n < 0:
                 continue
@@ -323,6 +312,6 @@ def _dfs_completions(known: LusztigDatum) -> list[LusztigDatum]:
             for parts in _delta_candidates(kind, known.delta, n, d1):
                 cand = _assemble(kind, low_picks, high_picks, parts)
                 cp = path_prefixes(cand, K)
-                if not mv_violations(kind, w, cp, kp, parts, known.delta, K, True):
+                if not mv_violations(kind, cp, kp, parts, known.delta, True):
                     sols.append(cand)
     return sols

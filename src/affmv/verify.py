@@ -20,6 +20,7 @@ from .lusztig import (
     twist_s,
 )
 from .polytope import DecoratedPolytope, mv_violations, path_prefixes, vertices
+from .polytope import weight_truncation_index
 from .roots import (
     ALPHA0,
     ALPHA1,
@@ -27,7 +28,6 @@ from .roots import (
     LOW,
     Algebra,
     RootVector,
-    max_real_index,
     simple_reflection,
 )
 from .transition import DFS, SolverInvariantError, transition_l_to_r
@@ -115,21 +115,19 @@ def _box_weights(box: RootVector) -> list[RootVector]:
     return weights
 
 
-def check_uniqueness(
-    kind: Algebra, box: RootVector, compare_dfs: bool = True
-) -> Report:
+def check_uniqueness(kind: Algebra, box: RootVector) -> Report:
     """Every datum in the box has exactly one completion on either side.
 
     For each weight the full pairing matrix is computed with the baseline
     check; rows and columns must contain exactly one passing partner, the
-    matrix must be symmetric under the side swap, and (optionally) the
-    pruned search must return exactly the baseline partner both ways:
-    its one answer T(d) is compared with the row and the column partner.
+    matrix must be symmetric under the side swap, and the pruned search
+    must return exactly the baseline partner both ways: its one answer
+    T(d) is compared with the row and the column partner.
     """
     t = _Tally()
     for w in _box_weights(box):
         data = enumerate_data(kind, w)
-        K = max(2, 1 + max_real_index(kind, w))
+        K = weight_truncation_index(kind, w)
         prefixes = [path_prefixes(d, K) for d in data]
         n = len(data)
         t.hit("weights checked")
@@ -139,7 +137,7 @@ def check_uniqueness(
         for i, dl in enumerate(data):
             for j, dr in enumerate(data):
                 passing[i][j] = not mv_violations(
-                    kind, w, prefixes[i], prefixes[j], dl.delta, dr.delta, K, True
+                    kind, prefixes[i], prefixes[j], dl.delta, dr.delta, True
                 )
         col_counts = [0] * n
         row_partner = [-1] * n
@@ -174,23 +172,22 @@ def check_uniqueness(
                     )
         t.hit("swap symmetry failures", 0)
         t.hit("completion count failures", 0)
-        if compare_dfs:
-            for i, d in enumerate(data):
-                t.hit("dfs completions", 2)
-                try:
-                    got = transition_l_to_r(d, solver=DFS)
-                except SolverInvariantError as err:
+        for i, d in enumerate(data):
+            t.hit("dfs completions", 2)
+            try:
+                got = transition_l_to_r(d, solver=DFS)
+            except SolverInvariantError as err:
+                t.hit("dfs mismatches")
+                t.fail(f"weight {w}: pruned solver failed on {d}: {err}")
+                continue
+            for side, partner in (("right", row_partner[i]), ("left", col_partner[i])):
+                if partner < 0 or got != data[partner]:
                     t.hit("dfs mismatches")
-                    t.fail(f"weight {w}: pruned solver failed on {d}: {err}")
-                    continue
-                for side, partner in (("right", row_partner[i]), ("left", col_partner[i])):
-                    if partner < 0 or got != data[partner]:
-                        t.hit("dfs mismatches")
-                        t.fail(
-                            f"weight {w}: pruned {side} completion of {d} "
-                            f"differs from baseline"
-                        )
-            t.hit("dfs mismatches", 0)
+                    t.fail(
+                        f"weight {w}: pruned {side} completion of {d} "
+                        f"differs from baseline"
+                    )
+        t.hit("dfs mismatches", 0)
         t.notes.append(f"weight {w}: {n} data")
     return t.done("uniqueness", kind, f"box {box}")
 

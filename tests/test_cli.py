@@ -102,6 +102,105 @@ class TestComplete:
         assert "forced for the test" in err
 
 
+def _entry(family="low", k=1, mult=1, **extra):
+    return {"family": family, "k": k, "mult": mult, **extra}
+
+
+# One document per raise of the datum parser, with the exact line it
+# prints; the last two have faults in two entries, and the first entry's
+# fault is the one reported.
+MALFORMED_DATA = [
+    ("not an object", "datum document must be a JSON object"),
+    ({}, "datum document is missing the 'algebra' field"),
+    ({"algebra": "e8"}, "unknown algebra 'e8', expected one of ['a2(2)', 'sl2hat']"),
+    ({"algebra": "sl2hat", "extra": 1}, "datum document has unknown field 'extra'"),
+    ({"algebra": "sl2hat", "real": {}}, "'real' must be a list"),
+    ({"algebra": "sl2hat", "real": ["low"]}, "each real entry must be an object"),
+    (
+        {"algebra": "sl2hat", "real": [{"family": "low", "k": 1}]},
+        "real entry is missing the 'mult' field",
+    ),
+    (
+        {"algebra": "sl2hat", "real": [_entry(x=0)]},
+        "real entry has unknown field 'x'",
+    ),
+    ({"algebra": "sl2hat", "real": [_entry("mid")]}, "unknown family 'mid'"),
+    ({"algebra": "sl2hat", "real": [_entry(["low"])]}, "unknown family ['low']"),
+    (
+        {"algebra": "sl2hat", "real": [_entry(k=0)]},
+        "ladder index must be an integer >= 1, got 0",
+    ),
+    (
+        {"algebra": "sl2hat", "real": [_entry(k=2.0)]},
+        "ladder index must be an integer >= 1, got 2.0",
+    ),
+    (
+        {"algebra": "sl2hat", "real": [_entry(k=True)]},
+        "ladder index must be an integer >= 1, got True",
+    ),
+    (
+        {"algebra": "sl2hat", "real": [_entry(k="3")]},
+        "ladder index must be an integer >= 1, got '3'",
+    ),
+    (
+        {"algebra": "sl2hat", "real": [_entry(mult=0)]},
+        "multiplicity must be an integer >= 1, got 0",
+    ),
+    (
+        {"algebra": "sl2hat", "real": [_entry(mult=1.5)]},
+        "multiplicity must be an integer >= 1, got 1.5",
+    ),
+    (
+        {"algebra": "sl2hat", "real": [_entry(mult=True)]},
+        "multiplicity must be an integer >= 1, got True",
+    ),
+    (
+        {"algebra": "sl2hat", "real": [_entry("high", 2), _entry("high", 2, 2)]},
+        "duplicate real entry for (high, 2)",
+    ),
+    ({"algebra": "sl2hat", "delta": 3}, "'delta' must be a list"),
+    ({"algebra": "sl2hat", "delta": [0]}, "partition parts must be integers >= 1, got 0"),
+    (
+        {"algebra": "sl2hat", "delta": [2.5]},
+        "partition parts must be integers >= 1, got 2.5",
+    ),
+    (
+        {"algebra": "sl2hat", "delta": [True]},
+        "partition parts must be integers >= 1, got True",
+    ),
+    (
+        {"algebra": "sl2hat", "delta": [1, 2]},
+        "partition must be weakly decreasing, got [1, 2]",
+    ),
+    (
+        {"algebra": "sl2hat", "delta": [1, 2, "x"]},
+        "partition must be weakly decreasing, got [1, 2, 'x']",
+    ),
+    (
+        {
+            "algebra": "a2(2)",
+            "real": [_entry(), _entry(k=-1, mult=0), _entry("up")],
+            "delta": [0],
+        },
+        "ladder index must be an integer >= 1, got -1",
+    ),
+    (
+        {"algebra": "a2(2)", "real": [_entry(mult=2), _entry(mult=1.5)]},
+        "multiplicity must be an integer >= 1, got 1.5",
+    ),
+]
+
+
+class TestDocumentErrors:
+    @pytest.mark.parametrize(
+        "doc, line", MALFORMED_DATA, ids=range(len(MALFORMED_DATA))
+    )
+    def test_malformed_datum_message_and_exit(self, capsys, tmp_path, doc, line):
+        path = write_doc(tmp_path, "d.json", doc)
+        code, out, err = run(capsys, "complete", path, "--side", "right")
+        assert (code, out, err) == (cli.EXIT_USAGE, "", f"error: {line}\n")
+
+
 class TestCheck:
     def test_mv_pair_passes(self, capsys, tmp_path, reference_pair):
         path = write_doc(

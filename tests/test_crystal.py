@@ -24,7 +24,7 @@ from affmv.crystal import (
     star,
     tau,
 )
-from affmv.lusztig import PreconditionViolated, UnsupportedKind, datum, weight
+from affmv.lusztig import PreconditionViolated, UnsupportedKind, datum, twist_s, weight
 from affmv.polytope import is_mv
 from affmv.roots import ALPHA0, ALPHA1, HIGH, LOW, Algebra, simple_reflection
 from affmv.transition import complete_from_right
@@ -53,6 +53,16 @@ class TestFirstSteps:
         up1 = e(1, b)
         assert up1.weight == ALPHA1
         assert up1.left == datum(kind, {(LOW, 1): 1})
+
+    @pytest.mark.parametrize("node", (2, -1, "0"))
+    def test_node_index_is_checked(self, node):
+        b = e(0, lowest(Algebra.SL2_HAT))
+        message = rf"^node index must be 0 or 1, got {node!r}$"
+        for op in (e, f, e_star, f_star, phi, eps, phi_star, eps_star, saito):
+            with pytest.raises(ValueError, match=message):
+                op(node, b)
+        with pytest.raises(ValueError, match=message):
+            twist_s(b.left, node)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_lowering_at_the_wall_is_absent(self, kind):

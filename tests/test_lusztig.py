@@ -118,6 +118,9 @@ class TestPartitions:
         assert remove_part((3, 2, 1), 2) == (3, 1)
         with pytest.raises(PartAbsent):
             remove_part((3, 1), 2)
+        for s in (0, 1.5, True):
+            with pytest.raises(ValueError):
+                add_part((3, 1), s)
 
     @given(st.lists(st.integers(1, 9), min_size=0, max_size=8))
     def test_transpose_is_an_involution(self, parts):
@@ -159,19 +162,31 @@ class TestDatumConstruction:
         assert zero.is_zero and zero.max_support() == 0
 
     def test_invalid_real_entries_rejected(self):
-        with pytest.raises(ValueError):
-            datum(Algebra.SL2_HAT, {(LOW, 0): 1})
-        with pytest.raises(ValueError):
-            datum(Algebra.SL2_HAT, {(LOW, 1): -1})
-        with pytest.raises(ValueError):
-            datum(Algebra.SL2_HAT, {("mid", 1): 1})
+        for real in (
+            {(LOW, 0): 1},
+            {(LOW, 1): -1},
+            {("mid", 1): 1},
+            {("mid", 1): 0},
+            {(LOW, 1): 1.5},
+            {(LOW, 1): 0.0},
+            {(LOW, 1): True},
+            {(LOW, 2.0): 1},
+            {(LOW, True): 1},
+            {(LOW, "3"): 1},
+        ):
+            with pytest.raises(ValueError):
+                datum(Algebra.SL2_HAT, real)
+        for entry in (RealEntry(LOW, 2.0, 1), RealEntry(HIGH, 1, 1.5)):
+            with pytest.raises(ValueError):
+                LusztigDatum(Algebra.SL2_HAT, (entry,))
 
     def test_partition_handling(self):
         # The factory sorts loose part lists; the strict constructor
         # rejects anything out of canonical form.
         assert datum(Algebra.SL2_HAT, delta_parts=(1, 2)).delta == (2, 1)
-        with pytest.raises(ValueError):
-            datum(Algebra.SL2_HAT, delta_parts=(0,))
+        for parts in ((0,), (2.5,), (2, 1.0), (True,), ("3",)):
+            with pytest.raises(ValueError):
+                datum(Algebra.SL2_HAT, delta_parts=parts)
         with pytest.raises(ValueError):
             LusztigDatum(Algebra.SL2_HAT, (), (1, 2))
 

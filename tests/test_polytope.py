@@ -187,12 +187,10 @@ class TestVerdicts:
             shallow = not is_mv(P).violations
             deep = not mv_violations(
                 kind,
-                P.weight,
                 path_prefixes(L, K + 10),
                 path_prefixes(R, K + 10),
                 L.delta,
                 R.delta,
-                K + 10,
             )
             assert shallow == deep
 
@@ -203,12 +201,10 @@ class TestVerdicts:
         K = truncation_index(P)
         found = mv_violations(
             kind,
-            P.weight,
             path_prefixes(d, K),
             path_prefixes(d, K),
             d.delta,
             d.delta,
-            K,
             first_only=True,
         )
         assert len(found) == 1

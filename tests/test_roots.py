@@ -26,6 +26,7 @@ from affmv.roots import (
     delta_multiple,
     ladder_root,
     ladder_table,
+    lean,
     length_ratio,
     max_real_index,
     positive_real_roots,
@@ -119,6 +120,11 @@ class TestDelta:
             assert delta_multiple(kind, n * dv) == n
         assert delta_multiple(kind, ALPHA0) is None
         assert delta_multiple(kind, dv + ALPHA1) is None
+        # The lean vanishes exactly on the multiples of delta.
+        for a in range(6):
+            for b in range(12):
+                multiple = delta_multiple(kind, RootVector(a, b)) is not None
+                assert (lean(kind, a, b) == 0) == multiple
 
 
 class TestPairings:
@@ -202,6 +208,7 @@ class TestLadders:
                 else 2 * entry.root.a - entry.root.b
             )
             assert (gap < 0) == (entry.family == LOW)
+            assert lean(kind, entry.root.a, entry.root.b) == -gap
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_labels_invert_beta(self, kind):

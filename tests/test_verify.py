@@ -64,12 +64,6 @@ class TestUniqueness:
         # Every datum is completed by the solver once per side.
         assert rep.count("dfs completions") == 2 * rep.count("data checked")
 
-    def test_dfs_comparison_can_be_disabled(self):
-        kind = Algebra.SL2_HAT
-        rep = check_uniqueness(kind, RootVector(2, 2), compare_dfs=False)
-        assert rep.passed
-        assert rep.count("dfs completions") == 0
-
     def test_weight_notes_partition_the_box(self):
         rep = check_uniqueness(Algebra.SL2_HAT, RootVector(2, 2))
         noted = sum(int(n.rsplit(" ", 2)[1]) for n in rep.notes)

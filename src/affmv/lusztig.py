@@ -9,7 +9,7 @@ exhaustive enumeration of all data at a fixed weight.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .roots import (
@@ -190,6 +190,22 @@ class LusztigDatum:
     def is_zero(self) -> bool:
         return not self.real and not self.delta
 
+    @cached_property
+    def weight(self) -> RootVector:
+        """Sum of all roots of the datum, counted with multiplicity.
+
+        Computed on first use and kept in the instance dict, outside the
+        fields, so equality, hashing and repr do not see it.
+        """
+        n = sum(self.delta)
+        dv = delta(self.kind)
+        a, b = n * dv.a, n * dv.b
+        for family, k, mult in self.real:
+            ra, rb = ladder_root(self.kind, family, k)
+            a += mult * ra
+            b += mult * rb
+        return RootVector(a, b)
+
 
 def datum(
     kind: Algebra,
@@ -226,15 +242,11 @@ def datum(
 
 
 def weight(d: LusztigDatum) -> RootVector:
-    """Sum of all roots of the datum, counted with multiplicity."""
-    n = sum(d.delta)
-    dv = delta(d.kind)
-    a, b = n * dv.a, n * dv.b
-    for family, k, mult in d.real:
-        ra, rb = ladder_root(d.kind, family, k)
-        a += mult * ra
-        b += mult * rb
-    return RootVector(a, b)
+    """Sum of all roots of the datum, counted with multiplicity.
+
+    The same as `d.weight`, which each datum computes once.
+    """
+    return d.weight
 
 
 def is_purely_imaginary(d: LusztigDatum) -> bool:

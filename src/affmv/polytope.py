@@ -14,11 +14,10 @@ is constant, so the truncated scan is equivalent to the infinite one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 from .lusztig import LusztigDatum, Partition, largest_part, remove_part
-from .lusztig import weight as datum_weight
 from .roots import HIGH, LOW, Algebra, RootVector, ladder_root, lean, length_ratio
 from .roots import max_real_index
 
@@ -48,19 +47,22 @@ class DecoratedPolytope:
 
     left: LusztigDatum
     right: LusztigDatum
-    weight: RootVector = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.left.kind is not self.right.kind:
             raise ValueError("the two data must belong to the same algebra")
-        w, right_w = datum_weight(self.left), datum_weight(self.right)
+        w, right_w = self.left.weight, self.right.weight
         if w != right_w:
             raise ValueError(f"weight mismatch: left {w}, right {right_w}")
-        object.__setattr__(self, "weight", w)
 
     @property
     def kind(self) -> Algebra:
         return self.left.kind
+
+    @property
+    def weight(self) -> RootVector:
+        """The common weight, read from the left datum's memo."""
+        return self.left.weight
 
 
 class PathPrefixes(NamedTuple):
@@ -177,6 +179,41 @@ def part_size_ratio(kind: Algebra, diff: RootVector) -> tuple[int, int]:
     return lean(kind, diff.a, diff.b), length_ratio(kind)
 
 
+def _half_path_defect(
+    Ux: Sequence[int],
+    Uy: Sequence[int],
+    Vx: Sequence[int],
+    Vy: Sequence[int],
+    start: int,
+    stop: int,
+) -> tuple[int, int] | None:
+    """First k in start..stop-1 where one half-path pairing fails, with its value.
+
+    The pairing holds at k when max(Uy[k] - Vy[k-1], Vx[k] - Ux[k-1])
+    is 0.  Condition 1 of `mv_violations` is this pairing of the left
+    high ladder (U) with the right low ladder (V) in (a, b) coordinates;
+    condition 2 pairs the left low ladder with the right high ladder in
+    (b, a) coordinates, and its min is minus this max.  So each condition
+    reads one half of each datum: the left datum's high or low prefixes
+    and the right datum's low or high ones.  Returns (k, max) or None.
+    """
+    for k in range(start, stop):
+        m = Uy[k] - Vy[k - 1]
+        x = Vx[k] - Ux[k - 1]
+        if x > m:  # m = max(m, x), without the call on this hot path
+            m = x
+        if m:
+            return k, m
+    return None
+
+
+def _path_violation(condition: int, k: int, m: int) -> MVViolation:
+    """Condition 1 or 2 failing at k, where `_half_path_defect` found m."""
+    if condition == 1:
+        return MVViolation(1, k, f"max is {m}, expected 0")
+    return MVViolation(2, k, f"min is {-m}, expected 0")
+
+
 def mv_violations(
     kind: Algebra,
     L: PathPrefixes,
@@ -193,22 +230,32 @@ def mv_violations(
     matches the two vertical-edge partitions up to one part of the
     prescribed size, and condition 4 bounds the largest parts by that
     size.  The scan runs to the arrays' last index, so all eight must
-    have one length and be constant from both supports on.  With
-    first_only the scan stops at the first failure.
+    have one length and be constant from both supports on.  Failures
+    are listed by index k, condition 1 before 2 at the same k, then 3
+    and 4.  With first_only the conditions are tried in order and the
+    scan stops at the first failure: the one violation returned is the
+    lowest-indexed failure of the lowest-numbered failing condition.
     """
     upto = len(L.low_a) - 1
     bad: list[MVViolation] = []
-    for k in range(2, upto + 1):
-        m = max(L.high_b[k] - R.low_b[k - 1], R.low_a[k] - L.high_a[k - 1])
-        if m != 0:
-            bad.append(MVViolation(1, k, f"max is {m}, expected 0"))
-            if first_only:
-                return bad
-        m = min(R.high_a[k - 1] - L.low_a[k], L.low_b[k - 1] - R.high_b[k])
-        if m != 0:
-            bad.append(MVViolation(2, k, f"min is {m}, expected 0"))
-            if first_only:
-                return bad
+    if first_only:  # no lists or sorting here: the solvers call it per candidate
+        hit = _half_path_defect(L.high_a, L.high_b, R.low_a, R.low_b, 2, upto + 1)
+        if hit is not None:
+            return [_path_violation(1, *hit)]
+        hit = _half_path_defect(L.low_b, L.low_a, R.high_b, R.high_a, 2, upto + 1)
+        if hit is not None:
+            return [_path_violation(2, *hit)]
+    else:
+        halves = (
+            (1, L.high_a, L.high_b, R.low_a, R.low_b),
+            (2, L.low_b, L.low_a, R.high_b, R.high_a),
+        )
+        for condition, Ux, Uy, Vx, Vy in halves:
+            hit = _half_path_defect(Ux, Uy, Vx, Vy, 2, upto + 1)
+            while hit is not None:
+                bad.append(_path_violation(condition, *hit))
+                hit = _half_path_defect(Ux, Uy, Vx, Vy, hit[0] + 1, upto + 1)
+        bad.sort(key=lambda v: v.k)  # stable: condition 1 first at equal k
 
     # Stable endpoints of the four paths; d1 spans the two bottom
     # vertical-edge feet, d2 the two top ones.

@@ -189,9 +189,14 @@ def ladder_root(kind: Algebra, family: str, k: int) -> tuple[int, int]:
 
 
 def beta(kind: Algebra, family: str, k: int) -> RootVector:
-    """k-th root of the low ladder (through alpha1) or the high one (alpha0)."""
+    """k-th root of the low ladder (through alpha1) or the high one (alpha0).
+
+    k must be of type `int` itself, so not a `bool`, a float or a string.
+    """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
+    if type(k) is not int:
+        raise ValueError(f"ladder index must be an integer, got {k!r}")
     if k < 1:
         raise ValueError(f"ladder index must be >= 1, got {k!r}")
     return RootVector(*ladder_root(kind, family, k))

@@ -174,9 +174,10 @@ def _ladder_leaves(
     the high ladder, (b, a) for the low one, so that both conditions read
     max(Uy[k] - Y[k-1], X[k] - Ux[k-1]) == 0, where U are the prefix sums
     of the unknown ladder, table[k] its k-th root, and X, Y the prefix
-    sums of the known datum on the paired ladder.  Yields (picks, rx,
-    ry): the nonzero multiplicities as (k, m) pairs in ascending k, and
-    the weight left over.
+    sums of the known datum on the paired ladder: the half-path pairing
+    that `mv_violations` checks with `polytope._half_path_defect`.
+    Yields (picks, rx, ry): the nonzero multiplicities as (k, m) pairs in
+    ascending k, and the weight left over.
     """
     K = len(table) - 1
     # Index 1 is (1, 0) in these coordinates and has no condition of its

@@ -9,18 +9,19 @@ deterministic text.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from . import crystal
 from .crystal import CrystalGraph, crystal_graph
 from .lusztig import (
+    LusztigDatum,
     enumerate_data,
     is_purely_imaginary,
     trapezoid_datum,
     twist_s,
 )
 from .polytope import DecoratedPolytope, mv_violations, path_prefixes, vertices
-from .polytope import weight_truncation_index
+from .polytope import _half_path_defect, weight_truncation_index
 from .roots import (
     ALPHA0,
     ALPHA1,
@@ -115,36 +116,73 @@ def _box_weights(box: RootVector) -> list[RootVector]:
     return weights
 
 
+def _pairing(kind: Algebra, data: Sequence[LusztigDatum], K: int) -> list[list[int]]:
+    """Row i lists, ascending, the j with (data[i], data[j]) MV.
+
+    Entry (i, j) is `not mv_violations(..., first_only=True)` on the
+    prefixes truncated at K, computed without running that check on all
+    n^2 pairs.  Condition 1 reads only the left datum's high half and the
+    right datum's low half, and condition 2 only the left low half and
+    the right high half (`_half_path_defect`).  So both conditions are
+    scanned once per distinct (high, low) and (low, high) pair of halves,
+    and many data share a half: at the top weight of the sl2hat box
+    (6,6), 134 data have 30 distinct halves of each kind.  A pair whose
+    halves fail either scan fails the full check at that same scan, so
+    its entry is False; every other pair runs the full check, whose
+    verdict is the entry.  Hence the rows are exactly the full check's.
+    """
+    prefixes = [path_prefixes(d, K) for d in data]
+    lows: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+    highs: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+    low_of = [lows.setdefault((p.low_a, p.low_b), len(lows)) for p in prefixes]
+    high_of = [highs.setdefault((p.high_a, p.high_b), len(highs)) for p in prefixes]
+    # pass1[h][l]: condition 1 holds for left high half h, right low half l;
+    # pass2[l][h]: condition 2 holds for left low half l, right high half h.
+    pass1 = [
+        [_half_path_defect(ha, hb, la, lb, 2, K + 1) is None for la, lb in lows]
+        for ha, hb in highs
+    ]
+    pass2 = [
+        [_half_path_defect(lb, la, hb, ha, 2, K + 1) is None for ha, hb in highs]
+        for la, lb in lows
+    ]
+    rows = []
+    for i, (left, L) in enumerate(zip(data, prefixes)):
+        ok1, ok2 = pass1[high_of[i]], pass2[low_of[i]]
+        rows.append(
+            [
+                j
+                for j, (right, R) in enumerate(zip(data, prefixes))
+                if ok1[low_of[j]]
+                and ok2[high_of[j]]
+                and not mv_violations(kind, L, R, left.delta, right.delta, True)
+            ]
+        )
+    return rows
+
+
 def check_uniqueness(kind: Algebra, box: RootVector) -> Report:
     """Every datum in the box has exactly one completion on either side.
 
-    For each weight the full pairing matrix is computed with the baseline
-    check; rows and columns must contain exactly one passing partner, the
-    matrix must be symmetric under the side swap, and the pruned search
-    must return exactly the baseline partner both ways: its one answer
-    T(d) is compared with the row and the column partner.
+    For each weight the full pairing matrix of the baseline check is
+    computed (`_pairing`); rows and columns must contain exactly one
+    passing partner, the matrix must be symmetric under the side swap,
+    and the pruned search must return exactly the baseline partner both
+    ways: its one answer T(d) is compared with the row and the column
+    partner.
     """
     t = _Tally()
     for w in _box_weights(box):
         data = enumerate_data(kind, w)
-        K = weight_truncation_index(kind, w)
-        prefixes = [path_prefixes(d, K) for d in data]
+        rows = _pairing(kind, data, weight_truncation_index(kind, w))
         n = len(data)
         t.hit("weights checked")
         t.hit("data checked", n)
         t.hit("pair checks", n * n)
-        passing = [[False] * n for _ in range(n)]
-        for i, dl in enumerate(data):
-            for j, dr in enumerate(data):
-                passing[i][j] = not mv_violations(
-                    kind, prefixes[i], prefixes[j], dl.delta, dr.delta, True
-                )
         col_counts = [0] * n
         row_partner = [-1] * n
         col_partner = [-1] * n
-        for i in range(n):
-            row = passing[i]
-            hits = [j for j in range(n) if row[j]]
+        for i, hits in enumerate(rows):
             if len(hits) != 1:
                 t.hit("completion count failures")
                 t.fail(
@@ -163,13 +201,10 @@ def check_uniqueness(kind: Algebra, box: RootVector) -> Report:
                     f"weight {w}: right datum #{j} {data[j]} has "
                     f"{col_counts[j]} left completions"
                 )
-        for i in range(n):
-            for j in range(n):
-                if passing[i][j] != passing[j][i]:
-                    t.hit("swap symmetry failures")
-                    t.fail(
-                        f"weight {w}: pair ({i},{j}) verdict differs after side swap"
-                    )
+        passing = {(i, j) for i, hits in enumerate(rows) for j in hits}
+        for i, j in sorted(passing ^ {(j, i) for i, j in passing}):
+            t.hit("swap symmetry failures")
+            t.fail(f"weight {w}: pair ({i},{j}) verdict differs after side swap")
         t.hit("swap symmetry failures", 0)
         t.hit("completion count failures", 0)
         for i, d in enumerate(data):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from affmv.documents import datum_to_obj
 from affmv.lusztig import (
     LusztigDatum,
     PartAbsent,
@@ -207,6 +208,20 @@ class TestWeight:
         assert weight(d) == 3 * delta(kind)
         assert not is_purely_imaginary(datum(kind, {(LOW, 1): 1}))
         assert is_purely_imaginary(datum(kind))
+
+    def test_memoized_weight_is_invisible(self):
+        """The memo is no field: equality, hash, repr and documents ignore it."""
+        memoized = reference_right_datum()
+        assert weight(memoized) == RootVector(20, 22)
+        assert "weight" in vars(memoized)
+        fresh = reference_right_datum()
+        assert "weight" not in vars(fresh)
+        assert memoized == fresh and fresh == memoized
+        assert hash(memoized) == hash(fresh)
+        assert repr(memoized) == repr(fresh)
+        assert datum_to_obj(memoized) == datum_to_obj(fresh)
+        assert "weight" not in vars(fresh)  # none of these computed it
+        assert fresh.weight == memoized.weight
 
 
 class TestTwists:

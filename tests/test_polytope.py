@@ -5,6 +5,8 @@ check that truncating the prefix scan at the support bound gives the
 same verdict as scanning ten indices deeper.
 """
 
+import hashlib
+import random
 from itertools import product
 
 import pytest
@@ -208,3 +210,32 @@ class TestVerdicts:
             first_only=True,
         )
         assert len(found) == 1
+
+
+# sha256 of the full violation lists of `violation_corpus()`.
+VIOLATION_DIGEST = "f9d113c19b9652bbca73f42bf7960fa33a6dba7dccfc22c169a7c092cbbcd189"
+
+
+def violation_corpus():
+    """600 seeded equal-weight pairs of both algebras, MV or not."""
+    rng = random.Random(12092205)
+    boxes = {Algebra.SL2_HAT: RootVector(6, 6), Algebra.A2_TWISTED: RootVector(4, 8)}
+    for kind, box in boxes.items():
+        weights = [RootVector(a, b) for a in range(box.a + 1) for b in range(box.b + 1)]
+        for _ in range(300):
+            data = enumerate_data(kind, rng.choice(weights))
+            if data:
+                yield DecoratedPolytope(rng.choice(data), rng.choice(data))
+
+
+class TestFullVerdictIsPinned:
+    def test_violation_lists_match_the_digest(self):
+        """Conditions, indices, notes and their order, on 600 pairs."""
+        rows = [
+            tuple(tuple(v) for v in is_mv(P).violations) for P in violation_corpus()
+        ]
+        assert len(rows) == 600
+        # The corpus mixes MV pairs with pairs breaking several conditions.
+        assert sum(not r for r in rows) > 100
+        assert {v[0] for r in rows for v in r} == {1, 2, 3, 4}
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == VIOLATION_DIGEST

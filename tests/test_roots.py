@@ -5,6 +5,8 @@ alone (independent of the ladder formulas) and compared set-for-set
 against the ladder enumeration.
 """
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -231,9 +233,14 @@ class TestLadders:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_rungs_indexed_from_one(self, kind):
+        """Indices are integers >= 1, of type `int` itself as in `lusztig`."""
         for family in FAMILIES:
             with pytest.raises(ValueError, match=r"^ladder index must be >= 1, got 0$"):
                 beta(kind, family, 0)
+            for k in (2.0, True, "3"):
+                msg = rf"^ladder index must be an integer, got {re.escape(repr(k))}$"
+                with pytest.raises(ValueError, match=msg):
+                    beta(kind, family, k)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_unknown_family_is_checked_before_the_index(self, kind):

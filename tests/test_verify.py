@@ -8,9 +8,13 @@ report type itself is pinned down.
 import pytest
 
 from affmv.crystal import crystal_graph
+from affmv.lusztig import enumerate_data
+from affmv.polytope import mv_violations, path_prefixes, weight_truncation_index
 from affmv.roots import Algebra, RootVector
 from affmv.verify import (
     Report,
+    _box_weights,
+    _pairing,
     check_axioms,
     check_crystal_axioms,
     check_saito_formulas,
@@ -18,6 +22,7 @@ from affmv.verify import (
     check_uniqueness,
 )
 from conftest import KINDS
+from test_lusztig import count_data
 
 SMALL_DEPTH = 4
 SMALL_BOXES = {
@@ -68,6 +73,51 @@ class TestUniqueness:
         rep = check_uniqueness(Algebra.SL2_HAT, RootVector(2, 2))
         noted = sum(int(n.rsplit(" ", 2)[1]) for n in rep.notes)
         assert noted == rep.count("data checked")
+
+
+class TestPairing:
+    """The half-path pairing against the n^2 brute-force matrix."""
+
+    BOXES = {
+        Algebra.SL2_HAT: RootVector(6, 6),
+        Algebra.A2_TWISTED: RootVector(4, 8),
+    }
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rows_equal_the_brute_force_matrix(self, kind):
+        for w in _box_weights(self.BOXES[kind]):
+            data = enumerate_data(kind, w)
+            K = weight_truncation_index(kind, w)
+            pre = [path_prefixes(d, K) for d in data]
+            brute = [
+                [
+                    j
+                    for j, dr in enumerate(data)
+                    if not mv_violations(kind, pre[i], pre[j], dl.delta, dr.delta, True)
+                ]
+                for i, dl in enumerate(data)
+            ]
+            assert _pairing(kind, data, K) == brute, w
+            # The paper's uniqueness: one partner per row and per column,
+            # so a fault shared by both sides still shows.
+            partners = [row[0] for row in brute if len(row) == 1]
+            assert sorted(partners) == list(range(len(data))), w
+
+
+class TestUniquenessPastDeskScale:
+    """Larger boxes than the CLI defaults; data counted independently."""
+
+    @pytest.mark.parametrize(
+        "kind, box",
+        [(Algebra.SL2_HAT, RootVector(8, 8)), (Algebra.A2_TWISTED, RootVector(5, 10))],
+    )
+    def test_uniqueness_holds(self, kind, box):
+        rep = check_uniqueness(kind, box)
+        assert rep.passed, rep.failures[:3]
+        expected = sum(count_data(kind, w) for w in _box_weights(box))
+        assert rep.count("data checked") == expected
+        assert expected == {Algebra.SL2_HAT: 3735, Algebra.A2_TWISTED: 1603}[kind]
+        assert rep.count("dfs completions") == 2 * expected
 
 
 class TestNodeSweeps:

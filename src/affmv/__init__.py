@@ -18,7 +18,6 @@ from .roots import (
     RootVector,
     beta,
     cartan_pair,
-    coweight_pair,
     delta,
     delta_multiple,
     ladder_root,
@@ -42,11 +41,9 @@ from .lusztig import (
     largest_part,
     partitions,
     remove_part,
-    transpose,
     trapezoid_datum,
     twist_s,
     twist_tau,
-    weight,
 )
 from .polytope import (
     DecoratedPolytope,
@@ -67,10 +64,8 @@ from .transition import (
     complete_from_left,
     complete_from_right,
     transition_l_to_r,
-    transition_r_to_l,
 )
 from .crystal import (
-    CrystalElement,
     CrystalGraph,
     crystal_graph,
     e,

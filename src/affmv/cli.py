@@ -5,7 +5,8 @@ verdict for a pair), op (apply a word of crystal operators), graph
 (DOT export), render (SVG or TikZ drawing), verify (the sweep suites).
 
 Exit codes: 0 success or verification pass, 1 verification failure or an
-operator that does not apply, 2 usage or document errors, 3 an internal
+operator that does not apply, 2 usage or document errors or an input
+past the size limit of `polytope.MAX_PATH_INDEX`, 3 an internal
 invariant breach (the uniqueness promise failing would surface here).
 """
 
@@ -26,7 +27,7 @@ from .documents import (
     polytope_to_obj,
 )
 from .lusztig import LusztigDatum, PreconditionViolated, UnsupportedKind
-from .polytope import DecoratedPolytope, is_mv
+from .polytope import DecoratedPolytope, PathTooLong, is_mv
 from .render import render_svg, render_tikz
 from .roots import Algebra, RootVector
 from .transition import (
@@ -275,7 +276,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.run(args)
-    except DocumentError as err:
+    except (DocumentError, PathTooLong) as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_USAGE
     except SolverInvariantError as err:

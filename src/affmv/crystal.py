@@ -20,7 +20,6 @@ from .roots import _check_node
 from .transition import complete_from_left, complete_from_right
 
 __all__ = [
-    "CrystalElement",
     "CrystalGraph",
     "lowest",
     "e",
@@ -37,10 +36,6 @@ __all__ = [
     "saito_star",
     "crystal_graph",
 ]
-
-
-# Crystal elements are decorated polytopes; this name is kept for callers.
-CrystalElement = DecoratedPolytope
 
 
 def lowest(kind: Algebra) -> DecoratedPolytope:
@@ -150,9 +145,6 @@ class CrystalGraph:
     node_depths: tuple[int, ...]
     node_weights: tuple[RootVector, ...]
     edges: tuple[tuple[int, str, int], ...]
-
-    def node_index(self, b: DecoratedPolytope) -> int:
-        return self.nodes.index(b)
 
 
 _RAISERS: tuple[tuple[str, int, bool, RootVector], ...] = (

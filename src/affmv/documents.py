@@ -14,7 +14,7 @@ import json
 from typing import Any, Callable
 
 from .crystal import CrystalGraph
-from .lusztig import LusztigDatum, _check_entry, _check_partition, datum, weight
+from .lusztig import LusztigDatum, _check_entry, _check_partition, datum
 from .polytope import DecoratedPolytope, MVVerdict, is_mv, vertices
 from .roots import LOW, Algebra
 
@@ -122,7 +122,7 @@ def parse_polytope(obj: Any) -> DecoratedPolytope:
         P = DecoratedPolytope(left, right)
     except ValueError:  # the kinds agree, so only the weights can differ
         raise DocumentError(
-            f"left weight {weight(left)} differs from right weight {weight(right)}"
+            f"left weight {left.weight} differs from right weight {right.weight}"
         ) from None
     if "weight" in obj and obj["weight"] != [P.weight.a, P.weight.b]:
         raise DocumentError(
@@ -149,12 +149,9 @@ def polytope_to_obj(
         ],
     }
     if with_vertices:
-        fan = vertices(P)
         obj["vertices"] = {
-            "mu_r": [[p.a, p.b] for p in fan.mu_r],
-            "mu_r_top": [[p.a, p.b] for p in fan.mu_r_top],
-            "mu_l": [[p.a, p.b] for p in fan.mu_l],
-            "mu_l_top": [[p.a, p.b] for p in fan.mu_l_top],
+            name: [[p.a, p.b] for p in path]
+            for name, path in vertices(P)._asdict().items()
         }
     return obj
 

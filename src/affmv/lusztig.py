@@ -36,12 +36,10 @@ __all__ = [
     "RealEntry",
     "LusztigDatum",
     "datum",
-    "weight",
     "is_purely_imaginary",
     "largest_part",
     "remove_part",
     "add_part",
-    "transpose",
     "partitions",
     "twist_s",
     "twist_tau",
@@ -99,13 +97,6 @@ def add_part(p: Partition, s: int) -> Partition:
     while i < len(p) and p[i] >= s:
         i += 1
     return p[:i] + (s,) + p[i:]
-
-
-def transpose(p: Partition) -> Partition:
-    """Conjugate partition (column lengths of the Young diagram)."""
-    if not p:
-        return ()
-    return tuple(sum(1 for part in p if part > j) for j in range(p[0]))
 
 
 def partitions(n: int, max_part: int | None = None) -> Iterator[Partition]:
@@ -183,9 +174,6 @@ class LusztigDatum:
         kept.sort(key=lambda e: (_family_rank(e.family), e.k))
         return LusztigDatum(self.kind, tuple(kept), self.delta)
 
-    def with_delta(self, parts: Iterable[int]) -> "LusztigDatum":
-        return LusztigDatum(self.kind, self.real, tuple(parts))
-
     @property
     def is_zero(self) -> bool:
         return not self.real and not self.delta
@@ -239,14 +227,6 @@ def datum(
     for part in parts:  # one at a time, since they are not sorted yet
         _check_partition((part,))
     return LusztigDatum(kind, ordered, tuple(sorted(parts, reverse=True)))
-
-
-def weight(d: LusztigDatum) -> RootVector:
-    """Sum of all roots of the datum, counted with multiplicity.
-
-    The same as `d.weight`, which each datum computes once.
-    """
-    return d.weight
 
 
 def is_purely_imaginary(d: LusztigDatum) -> bool:

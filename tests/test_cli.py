@@ -7,9 +7,14 @@ pair, absent operator), 2 unusable input, 3 a broken solver invariant.
 import hashlib
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
+import affmv
 from affmv import cli
 from affmv.documents import datum_to_obj, dumps, polytope_to_obj
 from affmv.lusztig import datum
@@ -383,6 +388,47 @@ class TestVerify:
             "crystal-axioms",
         ):
             assert f"{name} [sl2hat" in out
+
+
+class TestSizeLimit:
+    """Valid documents past the size limit exit 2 before taking memory."""
+
+    BIG_LOW = {
+        "algebra": "sl2hat",
+        "real": [{"family": "low", "k": 10**9, "mult": 1}],
+        "delta": [],
+    }
+    BIG_DELTA = {"algebra": "sl2hat", "real": [], "delta": [10**9]}
+    # An address-space cap far below what arrays of 10^9 entries need.
+    CAP = 1_500_000_000
+
+    @pytest.mark.parametrize(
+        "argv, doc",
+        [
+            (["complete", "--side", "right"], BIG_LOW),
+            (["complete", "--side", "right"], BIG_DELTA),
+            (["check"], {"left": BIG_LOW, "right": BIG_LOW}),
+        ],
+    )
+    def test_oversized_documents_exit_2_under_a_memory_cap(self, tmp_path, argv, doc):
+        path = write_doc(tmp_path, "big.json", doc)
+        src = os.path.dirname(os.path.dirname(affmv.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "affmv.cli", *argv, path],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+            preexec_fn=lambda: resource.setrlimit(
+                resource.RLIMIT_AS, (self.CAP, self.CAP)
+            ),
+        )
+        assert proc.returncode == cli.EXIT_USAGE, proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
 
 class TestUsage:

@@ -24,7 +24,7 @@ from affmv.crystal import (
     star,
     tau,
 )
-from affmv.lusztig import PreconditionViolated, UnsupportedKind, datum, twist_s, weight
+from affmv.lusztig import PreconditionViolated, UnsupportedKind, datum, twist_s
 from affmv.polytope import is_mv
 from affmv.roots import ALPHA0, ALPHA1, HIGH, LOW, Algebra, simple_reflection
 from affmv.transition import complete_from_right
@@ -245,7 +245,7 @@ class TestGraphs:
         g = small_graph(kind)
         assert len(set(g.nodes)) == len(g.nodes)
         for idx, b in enumerate(g.nodes):
-            assert g.node_index(b) == idx
+            assert g.nodes.index(b) == idx
             assert g.node_weights[idx] == b.weight
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -260,5 +260,5 @@ class TestGraphs:
     def test_every_node_is_a_valid_polytope(self, kind):
         for b in small_graph(kind).nodes:
             assert is_mv(b).ok
-            assert weight(b.left) == weight(b.right) == b.weight
+            assert b.left.weight == b.right.weight == b.weight
             assert complete_from_right(b.right).left == b.left

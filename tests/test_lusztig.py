@@ -26,11 +26,9 @@ from affmv.lusztig import (
     largest_part,
     partitions,
     remove_part,
-    transpose,
     trapezoid_datum,
     twist_s,
     twist_tau,
-    weight,
 )
 from affmv.roots import (
     ALPHA0,
@@ -123,12 +121,6 @@ class TestPartitions:
             with pytest.raises(ValueError):
                 add_part((3, 1), s)
 
-    @given(st.lists(st.integers(1, 9), min_size=0, max_size=8))
-    def test_transpose_is_an_involution(self, parts):
-        p = tuple(sorted(parts, reverse=True))
-        assert transpose(transpose(p)) == p
-        assert sum(transpose(p)) == sum(p)
-
     @given(st.lists(st.integers(1, 9), min_size=0, max_size=8), st.integers(1, 9))
     def test_add_then_remove_round_trips(self, parts, s):
         p = tuple(sorted(parts, reverse=True))
@@ -158,7 +150,6 @@ class TestDatumConstruction:
         assert d.max_support() == 3
         assert not d.is_zero
         assert d.with_mult(LOW, 1, 0).mult(LOW, 1) == 0
-        assert d.with_delta((5,)).delta == (5,)
         zero = datum(Algebra.SL2_HAT)
         assert zero.is_zero and zero.max_support() == 0
 
@@ -198,21 +189,21 @@ class TestDatumConstruction:
 
 class TestWeight:
     def test_reference_pair_weights(self):
-        assert weight(reference_right_datum()) == RootVector(20, 22)
-        assert weight(reference_left_datum()) == RootVector(20, 22)
+        assert reference_right_datum().weight == RootVector(20, 22)
+        assert reference_left_datum().weight == RootVector(20, 22)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_purely_imaginary(self, kind):
         d = datum(kind, delta_parts=(2, 1))
         assert is_purely_imaginary(d)
-        assert weight(d) == 3 * delta(kind)
+        assert d.weight == 3 * delta(kind)
         assert not is_purely_imaginary(datum(kind, {(LOW, 1): 1}))
         assert is_purely_imaginary(datum(kind))
 
     def test_memoized_weight_is_invisible(self):
         """The memo is no field: equality, hash, repr and documents ignore it."""
         memoized = reference_right_datum()
-        assert weight(memoized) == RootVector(20, 22)
+        assert memoized.weight == RootVector(20, 22)
         assert "weight" in vars(memoized)
         fresh = reference_right_datum()
         assert "weight" not in vars(fresh)
@@ -230,8 +221,8 @@ class TestTwists:
     def test_twist_reflects_the_real_weight(self, kind, i):
         d = datum(kind, {(LOW, 2): 1, (HIGH, 2): 2}, (4, 1))
         t = twist_s(d, i)
-        real_wt = weight(d) - 5 * delta(kind)
-        assert weight(t) - 5 * delta(kind) == simple_reflection(kind, i, real_wt)
+        real_wt = d.weight - 5 * delta(kind)
+        assert t.weight - 5 * delta(kind) == simple_reflection(kind, i, real_wt)
         assert t.delta == d.delta
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -268,7 +259,7 @@ class TestTrapezoid:
         assert t.mult(LOW, 1) == ratio * 3
         assert t.mult(HIGH, 1) == 3
         assert t.delta == (1,)
-        assert weight(t) == 4 * delta(kind)
+        assert t.weight == 4 * delta(kind)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_empty_partition_gives_zero_datum(self, kind):
@@ -300,7 +291,7 @@ class TestEnumeration:
         assert len(set(data)) == len(data)
         for d in data:
             assert isinstance(d, LusztigDatum)
-            assert weight(d) == w
+            assert d.weight == w
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_negative_weight_has_no_data(self, kind):

@@ -13,16 +13,19 @@ import pytest
 
 from affmv.lusztig import datum, enumerate_data
 from affmv.polytope import (
+    MAX_PATH_INDEX,
     DecoratedPolytope,
     MVViolation,
+    PathTooLong,
     is_mv,
     mv_violations,
     part_size_ratio,
     path_prefixes,
     truncation_index,
     vertices,
+    weight_truncation_index,
 )
-from affmv.roots import HIGH, LOW, Algebra, RootVector, beta
+from affmv.roots import FAMILIES, HIGH, LOW, Algebra, RootVector, beta, delta
 from conftest import KINDS, SMALL_BOX
 
 
@@ -63,6 +66,20 @@ class TestPrefixes:
         for arr in pre:
             assert len(set(arr[2:])) == 1
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_size_limit_admits_index_one_million(self, kind):
+        # Checking and completing a one-entry datum with k = 10^6, and
+        # completing delta = [10^6], all stay within the limit.
+        for family in FAMILIES:
+            d = datum(kind, {(family, 10**6): 1})
+            assert truncation_index(DecoratedPolytope(d, d)) <= MAX_PATH_INDEX
+            assert weight_truncation_index(kind, d.weight) <= MAX_PATH_INDEX
+        w = 10**6 * delta(kind)
+        assert weight_truncation_index(kind, w) <= MAX_PATH_INDEX
+        message = f"past the supported limit {MAX_PATH_INDEX}$"
+        with pytest.raises(PathTooLong, match=message):
+            path_prefixes(datum(kind), MAX_PATH_INDEX + 1)
+
 
 class TestStructure:
     def test_pair_weights_must_agree(self):
@@ -98,10 +115,10 @@ class TestVertices:
         assert raw(fan.mu_l_top) == [
             (20, 22), (20, 17), (19, 15), (19, 15), (16, 11), (16, 11),
         ]
-        assert (fan.r_inf.a, fan.r_inf.b) == (3, 7)
-        assert (fan.r_top_inf.a, fan.r_top_inf.b) == (16, 20)
-        assert (fan.l_inf.a, fan.l_inf.b) == (12, 7)
-        assert (fan.l_top_inf.a, fan.l_top_inf.b) == (16, 11)
+        assert (fan.mu_r[-1].a, fan.mu_r[-1].b) == (3, 7)
+        assert (fan.mu_r_top[-1].a, fan.mu_r_top[-1].b) == (16, 20)
+        assert (fan.mu_l[-1].a, fan.mu_l[-1].b) == (12, 7)
+        assert (fan.mu_l_top[-1].a, fan.mu_l_top[-1].b) == (16, 11)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_paths_start_at_the_corners(self, kind):
@@ -114,8 +131,8 @@ class TestVertices:
     def test_vertical_edges_carry_the_partitions(self, reference_pair):
         fan = vertices(reference_pair)
         # Right edge: 13 delta steps for the size-13 partition; left: 4.
-        assert fan.r_top_inf - fan.r_inf == RootVector(13, 13)
-        assert fan.l_top_inf - fan.l_inf == RootVector(4, 4)
+        assert fan.mu_r_top[-1] - fan.mu_r[-1] == RootVector(13, 13)
+        assert fan.mu_l_top[-1] - fan.mu_l[-1] == RootVector(4, 4)
 
 
 class TestPartSizeRatio:
@@ -136,7 +153,7 @@ class TestVerdicts:
 
     def test_reference_gap_accounts_for_the_partitions(self, reference_pair):
         fan = vertices(reference_pair)
-        num, den = part_size_ratio(Algebra.SL2_HAT, fan.r_inf - fan.l_inf)
+        num, den = part_size_ratio(Algebra.SL2_HAT, fan.mu_r[-1] - fan.mu_l[-1])
         assert (num, den) == (9, 1)
         left, right = reference_pair.left.delta, reference_pair.right.delta
         assert sum(right) - sum(left) == 9

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from affmv.lusztig import enumerate_data, weight
+from affmv.lusztig import enumerate_data
 from affmv.roots import (
     ALPHA0,
     ALPHA1,
@@ -23,7 +23,6 @@ from affmv.roots import (
     RootVector,
     beta,
     cartan_pair,
-    coweight_pair,
     delta,
     delta_multiple,
     ladder_root,
@@ -149,11 +148,6 @@ class TestPairings:
             assert rows == [[2, -2], [-2, 2]]
         else:
             assert rows == [[2, -1], [-4, 2]]
-
-    def test_coweight_pair_reads_coefficients(self):
-        v = RootVector(3, 7)
-        assert coweight_pair(v, 0) == 3
-        assert coweight_pair(v, 1) == 7
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_length_ratio(self, kind):
@@ -314,4 +308,4 @@ class TestLadders:
                     total = sum(d.delta) * delta(kind)
                     for family, k, mult in d.real:
                         total = total + mult * beta(kind, family, k)
-                    assert weight(d) == total == RootVector(a, b)
+                    assert d.weight == total == RootVector(a, b)

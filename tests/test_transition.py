@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affmv.lusztig import datum, enumerate_data, trapezoid_datum, weight
+from affmv.crystal import e, eps, eps_star, f, phi, phi_star
+from affmv.lusztig import datum, enumerate_data, trapezoid_datum, twist_tau
 from affmv.polytope import DecoratedPolytope, is_mv
 from affmv.roots import FAMILIES, HIGH, LOW, Algebra, RootVector, beta, delta
 from affmv.transition import (
@@ -25,7 +26,6 @@ from affmv.transition import (
     complete_from_left,
     complete_from_right,
     transition_l_to_r,
-    transition_r_to_l,
 )
 from conftest import KINDS
 
@@ -46,7 +46,7 @@ class TestReferencePair:
     @pytest.mark.parametrize("solver", (DFS, ORACLE))
     def test_round_trip(self, solver, reference_left, reference_right):
         clear_cache()
-        assert transition_r_to_l(reference_right, solver=solver) == reference_left
+        assert transition_l_to_r(reference_right, solver=solver) == reference_left
         assert transition_l_to_r(reference_left, solver=solver) == reference_right
 
     def test_completions_are_mv(self, reference_right):
@@ -58,10 +58,10 @@ class TestReferencePair:
 class TestFrozenPartners:
     def test_untwisted_partners(self):
         sl2 = Algebra.SL2_HAT
-        assert transition_r_to_l(
+        assert transition_l_to_r(
             datum(sl2, {(HIGH, 1): 2, (LOW, 1): 1})
         ) == datum(sl2, {(HIGH, 2): 1})
-        assert transition_r_to_l(datum(sl2, delta_parts=(2, 1))) == datum(
+        assert transition_l_to_r(datum(sl2, delta_parts=(2, 1))) == datum(
             sl2, {(LOW, 1): 2, (HIGH, 1): 2}, (1,)
         )
         fixed = datum(sl2, {(LOW, 1): 3})
@@ -69,10 +69,10 @@ class TestFrozenPartners:
 
     def test_twisted_partners(self):
         a22 = Algebra.A2_TWISTED
-        assert transition_r_to_l(
+        assert transition_l_to_r(
             datum(a22, {(HIGH, 1): 2, (LOW, 1): 1})
         ) == datum(a22, {(HIGH, 1): 1, (HIGH, 2): 1})
-        assert transition_r_to_l(datum(a22, {(LOW, 2): 1})) == datum(
+        assert transition_l_to_r(datum(a22, {(LOW, 2): 1})) == datum(
             a22, {(LOW, 1): 4, (HIGH, 1): 1}
         )
         assert transition_l_to_r(
@@ -90,7 +90,7 @@ class TestSolverAgreement:
     @pytest.mark.parametrize("kind", KINDS)
     def test_dfs_matches_the_oracle_everywhere(self, kind):
         for d in tiny_data(kind):
-            assert transition_r_to_l(d, solver=DFS) == transition_r_to_l(
+            assert transition_l_to_r(d, solver=DFS) == transition_l_to_r(
                 d, solver=ORACLE
             )
             assert transition_l_to_r(d, solver=DFS) == transition_l_to_r(
@@ -111,15 +111,14 @@ class TestSolverAgreement:
     @pytest.mark.parametrize("kind", KINDS)
     def test_completing_twice_is_the_identity(self, kind):
         for d in tiny_data(kind):
-            assert transition_l_to_r(transition_r_to_l(d)) == d
-            assert transition_r_to_l(transition_l_to_r(d)) == d
+            assert transition_l_to_r(transition_l_to_r(d)) == d
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_transition_preserves_the_weight_not_the_datum(self, kind):
         moved = 0
         for d in tiny_data(kind):
-            partner = transition_r_to_l(d)
-            assert weight(partner) == weight(d)
+            partner = transition_l_to_r(d)
+            assert partner.weight == d.weight
             moved += partner != d
         assert moved > 0
 
@@ -138,7 +137,7 @@ class TestLargeData:
     def test_T_is_a_weight_preserving_involution(self, d):
         partner = transition_l_to_r(d)
         assert transition_l_to_r(partner) == d
-        assert weight(partner) == weight(d)
+        assert partner.weight == d.weight
         assert is_mv(DecoratedPolytope(partner, d)).ok
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -164,13 +163,13 @@ class TestLargeData:
 class TestPlumbing:
     def test_unknown_solver_is_rejected(self):
         with pytest.raises(ValueError):
-            transition_r_to_l(datum(Algebra.SL2_HAT), solver="guess")
+            transition_l_to_r(datum(Algebra.SL2_HAT), solver="guess")
 
     def test_cache_is_stable_across_clears(self, reference_right):
-        first = transition_r_to_l(reference_right)
-        again = transition_r_to_l(reference_right)
+        first = transition_l_to_r(reference_right)
+        again = transition_l_to_r(reference_right)
         clear_cache()
-        fresh = transition_r_to_l(reference_right)
+        fresh = transition_l_to_r(reference_right)
         assert first == again == fresh
 
     def test_zero_datum_completes_to_itself(self):
@@ -215,7 +214,7 @@ def bounded_data(draw, kind, max_height=60):
 
 def padded(d, w):
     """d with alpha0 (high 1) and alpha1 (low 1) steps added up to weight w."""
-    gap = w - weight(d)
+    gap = w - d.weight
     d = d.with_mult(HIGH, 1, d.mult(HIGH, 1) + gap.a)
     return d.with_mult(LOW, 1, d.mult(LOW, 1) + gap.b)
 
@@ -230,7 +229,7 @@ class TestInvolutionProperties:
         d = data.draw(bounded_data(kind, max_height=200))
         partner = transition_l_to_r(d)
         assert transition_l_to_r(partner) == d
-        assert weight(partner) == weight(d)
+        assert partner.weight == d.weight
         assert is_mv(DecoratedPolytope(d, partner)).ok
         assert is_mv(DecoratedPolytope(partner, d)).ok
 
@@ -240,9 +239,26 @@ class TestInvolutionProperties:
     def test_mv_verdict_is_symmetric_in_the_sides(self, kind, data):
         left = data.draw(bounded_data(kind))
         right = data.draw(bounded_data(kind))
-        wl, wr = weight(left), weight(right)
+        wl, wr = left.weight, right.weight
         w = RootVector(max(wl.a, wr.a), max(wl.b, wr.b))
         left, right = padded(left, w), padded(right, w)
         assert is_mv(DecoratedPolytope(left, right)).ok == is_mv(
             DecoratedPolytope(right, left)
         ).ok
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.data())
+    def test_T_commutes_with_the_diagram_flip(self, data):
+        d = data.draw(bounded_data(Algebra.SL2_HAT, max_height=200))
+        assert transition_l_to_r(twist_tau(d)) == twist_tau(transition_l_to_r(d))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(deadline=None, max_examples=100)
+    @given(st.data())
+    def test_crystal_identities_hold_on_completions(self, kind, data):
+        b = complete_from_right(data.draw(bounded_data(kind, max_height=200)))
+        for i in (0, 1):
+            assert f(i, e(i, b)) == b
+            # Kashiwara-Saito condition (iii): the merge level is one
+            # number, read from either side, and never negative.
+            assert eps(i, b) + phi_star(i, b) == eps_star(i, b) + phi(i, b) >= 0

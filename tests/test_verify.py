@@ -7,6 +7,7 @@ report type itself is pinned down.
 
 import pytest
 
+from affmv import crystal
 from affmv.crystal import crystal_graph
 from affmv.lusztig import enumerate_data
 from affmv.polytope import mv_violations, path_prefixes, weight_truncation_index
@@ -162,6 +163,15 @@ class TestNodeSweeps:
         )
         # Each node is classified once per node index i.
         assert classified == 2 * nodes
+
+    def test_negative_merge_level_is_a_failure(self, monkeypatch):
+        # Shifting eps (and with it eps*) keeps the two readings of the
+        # merge level equal, so only condition (iii) can catch it.
+        eps = crystal.eps
+        monkeypatch.setattr(crystal, "eps", lambda i, b: eps(i, b) - 3)
+        rep = check_crystal_axioms(Algebra.SL2_HAT, SMALL_DEPTH)
+        assert "node 0: merge level -3 is negative for i=0" in rep.failures
+        assert "node 0: merge level is side-dependent for i=0" not in rep.failures
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_shared_graph_gives_identical_reports(self, kind):

@@ -13,8 +13,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lusztig import LusztigDatum, PreconditionViolated, datum, twist_s, twist_tau
-from .polytope import DecoratedPolytope
+from .lusztig import (
+    LusztigDatum,
+    PreconditionViolated,
+    RealEntry,
+    _derived,
+    datum,
+    twist_s,
+    twist_tau,
+)
+from .polytope import DecoratedPolytope, _pair
 from .roots import ALPHA0, ALPHA1, HIGH, LOW, ZERO, Algebra, RootVector, cartan_pair
 from .roots import _check_node
 from .transition import complete_from_left, complete_from_right
@@ -45,7 +53,26 @@ def lowest(kind: Algebra) -> DecoratedPolytope:
 
 
 def _bump(d: LusztigDatum, family: str, by: int) -> LusztigDatum:
-    return d.with_mult(family, 1, d.mult(family, 1) + by)
+    """d with its index-1 multiplicity on `family` moved by `by`.
+
+    Equal to `d.with_mult(family, 1, d.mult(family, 1) + by)`, without
+    the rebuild and re-validation: in canonical order (LOW, 1) is entry
+    0 and (HIGH, 1) the first entry after the low run, so one splice
+    keeps the order, and the weight moves by `by` times alpha_i.
+    """
+    real = d.real
+    at = 0
+    if family == HIGH:
+        while at < len(real) and real[at].family == LOW:
+            at += 1
+    held = at < len(real) and real[at].family == family and real[at].k == 1
+    mult = (real[at].mult if held else 0) + by
+    if mult < 0:
+        raise ValueError(f"multiplicity must be an integer >= 1, got {mult!r}")
+    entry = (RealEntry(family, 1, mult),) if mult else ()
+    rest = real[at + 1 :] if held else real[at:]
+    alpha = ALPHA0 if family == HIGH else ALPHA1
+    return _derived(d.kind, real[:at] + entry + rest, d.delta, d.weight + by * alpha)
 
 
 def e(i: int, b: DecoratedPolytope) -> DecoratedPolytope:
@@ -97,12 +124,15 @@ def eps_star(i: int, b: DecoratedPolytope) -> int:
 
 def star(b: DecoratedPolytope) -> DecoratedPolytope:
     """Kashiwara involution: exchange the two Lusztig data."""
-    return DecoratedPolytope(b.right, b.left)
+    return _pair(b.right, b.left)
 
 
 def tau(b: DecoratedPolytope) -> DecoratedPolytope:
-    """Diagram flip, untwisted algebra only: flip both data, swap sides."""
-    return DecoratedPolytope(twist_tau(b.right), twist_tau(b.left))
+    """Diagram flip, untwisted algebra only: flip both data, swap sides.
+
+    Both data flip to the flipped weight, so the pair needs no check.
+    """
+    return _pair(twist_tau(b.right), twist_tau(b.left))
 
 
 def saito(i: int, b: DecoratedPolytope) -> DecoratedPolytope:

@@ -100,14 +100,34 @@ def add_part(p: Partition, s: int) -> Partition:
 
 
 def partitions(n: int, max_part: int | None = None) -> Iterator[Partition]:
-    """All partitions of n, largest part first, reverse lexicographic."""
+    """All partitions of n, largest part first, reverse lexicographic.
+
+    Iterative: each step strips the trailing 1s, lowers the last larger
+    part v by one, and refills what it freed greedily with parts of size
+    v - 1, which gives the next partition in reverse lexicographic order.
+    """
     if n == 0:
         yield ()
         return
     top = n if max_part is None or max_part > n else max_part
-    for first in range(top, 0, -1):
-        for rest in partitions(n - first, first):
-            yield (first,) + rest
+    if top < 1:
+        return
+    p = [top] * (n // top)
+    if n % top:
+        p.append(n % top)
+    while True:
+        yield tuple(p)
+        freed = 0
+        while p and p[-1] == 1:
+            p.pop()
+            freed += 1
+        if not p:
+            return
+        v = p.pop() - 1
+        q, r = divmod(freed + v + 1, v)
+        p += [v] * q
+        if r:
+            p.append(r)
 
 
 # -- Lusztig data -------------------------------------------------------
@@ -123,14 +143,18 @@ def _family_rank(family: str) -> int:
     return 0 if family == LOW else 1
 
 
-def _check_entry(family: object, k: object, mult: object) -> None:
-    """The rule for a stored real entry: a known ladder, exact integers >= 1."""
+def _check_entry(family: object, k: object, mult: object, least: int = 1) -> None:
+    """The rule for a stored real entry: a known ladder, exact integers >= 1.
+
+    `least` lowers the multiplicity floor for inputs such as `datum()`'s
+    mapping, where a 0 is accepted and dropped.
+    """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if type(k) is not int or k < 1:
         raise ValueError(f"ladder index must be an integer >= 1, got {k!r}")
-    if type(mult) is not int or mult < 1:
-        raise ValueError(f"multiplicity must be an integer >= 1, got {mult!r}")
+    if type(mult) is not int or mult < least:
+        raise ValueError(f"multiplicity must be an integer >= {least}, got {mult!r}")
 
 
 @dataclass(frozen=True)
@@ -183,7 +207,8 @@ class LusztigDatum:
         """Sum of all roots of the datum, counted with multiplicity.
 
         Computed on first use and kept in the instance dict, outside the
-        fields, so equality, hashing and repr do not see it.
+        fields, so equality, hashing and repr do not see it.  Data built
+        by `_derived` carry it from construction.
         """
         n = sum(self.delta)
         dv = delta(self.kind)
@@ -193,6 +218,29 @@ class LusztigDatum:
             a += mult * ra
             b += mult * rb
         return RootVector(a, b)
+
+
+def _derived(
+    kind: Algebra, real: tuple[RealEntry, ...], delta: Partition, weight: RootVector
+) -> LusztigDatum:
+    """A datum the library derived from valid data, with its known weight.
+
+    No check runs: the caller guarantees that `real` holds RealEntry
+    triples in canonical order with multiplicities >= 1, that `delta` is
+    a partition and that `weight` is the datum's weight.  The weight is
+    stored as an instance attribute, where the `weight` memo would keep
+    it, so the memo is never entered.  Attributes are set one by one, as
+    the dataclass `__init__` does, rather than through `__dict__`: that
+    keeps CPython's compact per-instance layout, where a materialized
+    dict would more than double each datum's size.  Inputs from outside
+    go through `LusztigDatum(...)` or `datum()` instead.
+    """
+    d = object.__new__(LusztigDatum)
+    object.__setattr__(d, "kind", kind)
+    object.__setattr__(d, "real", real)
+    object.__setattr__(d, "delta", delta)
+    object.__setattr__(d, "weight", weight)
+    return d
 
 
 def datum(
@@ -216,7 +264,7 @@ def datum(
             label = key
         family, k = label
         # A zero multiplicity is dropped, but its root is still checked.
-        _check_entry(family, k, 1 if mult == 0 and type(mult) is int else mult)
+        _check_entry(family, k, mult, least=0)
         if mult:
             entries[label] = entries.get(label, 0) + mult
     ordered = tuple(
@@ -305,8 +353,9 @@ def enumerate_data(kind: Algebra, w: RootVector) -> tuple[LusztigDatum, ...]:
     Multiplicities are chosen along the fixed root order (low ladder
     ascending, then high ladder ascending), smallest first, and whatever
     residual is a multiple of delta closes off with each partition of it.
-    The search keeps its own stack, so no closure cycle holds the result
-    list after the call.
+    Each datum so built has weight w by construction and is made with
+    `_derived`.  The search keeps its own stack, so no closure cycle holds
+    the result list after the call.
     """
     if w.a < 0 or w.b < 0:
         return ()
@@ -320,7 +369,7 @@ def enumerate_data(kind: Algebra, w: RootVector) -> tuple[LusztigDatum, ...]:
         if idx == len(roots):
             n = delta_multiple(kind, RootVector(ra, rb))
             if n is not None:
-                out.extend(LusztigDatum(kind, picked, parts) for parts in partitions(n))
+                out.extend(_derived(kind, picked, parts, w) for parts in partitions(n))
             continue
         root, family, k = roots[idx]
         for m in range(_max_mult(ra, rb, root), -1, -1):

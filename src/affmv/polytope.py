@@ -67,6 +67,18 @@ class DecoratedPolytope:
         return self.left.weight
 
 
+def _pair(left: LusztigDatum, right: LusztigDatum) -> DecoratedPolytope:
+    """A polytope the library derived, its two data of one kind and weight.
+
+    No check runs: the caller guarantees what `__post_init__` would
+    compare.  Inputs from outside go through `DecoratedPolytope(...)`.
+    """
+    P = object.__new__(DecoratedPolytope)
+    object.__setattr__(P, "left", left)  # as in lusztig._derived
+    object.__setattr__(P, "right", right)
+    return P
+
+
 class PathPrefixes(NamedTuple):
     """Coordinatewise prefix sums of the two ladders of one datum.
 

@@ -36,12 +36,14 @@ from .lusztig import (
     LusztigDatum,
     Partition,
     RealEntry,
+    _derived,
     add_part,
     enumerate_data,
     remove_part,
 )
 from .polytope import (
     DecoratedPolytope,
+    _pair,
     mv_violations,
     part_size_ratio,
     path_prefixes,
@@ -92,13 +94,17 @@ def clear_cache() -> None:
 
 
 def complete_from_left(left: LusztigDatum, solver: str = DFS) -> DecoratedPolytope:
-    """The unique decorated polytope whose left datum is `left`."""
-    return DecoratedPolytope(left, _partner(left, solver))
+    """The unique decorated polytope whose left datum is `left`.
+
+    The partner has the kind and weight of `left` by construction, so
+    the pair is built without comparing them.
+    """
+    return _pair(left, _partner(left, solver))
 
 
 def complete_from_right(right: LusztigDatum, solver: str = DFS) -> DecoratedPolytope:
     """The unique decorated polytope whose right datum is `right`."""
-    return DecoratedPolytope(_partner(right, solver), right)
+    return _pair(_partner(right, solver), right)
 
 
 def transition_l_to_r(d: LusztigDatum, solver: str = DFS) -> LusztigDatum:
@@ -233,11 +239,23 @@ def _delta_candidates(
 
 
 def _assemble(
-    kind: Algebra, low_picks: _Picks, high_picks: _Picks, parts: Partition
+    kind: Algebra,
+    low_picks: _Picks,
+    high_picks: _Picks,
+    parts: Partition,
+    w: RootVector,
 ) -> LusztigDatum:
+    """The candidate datum of one join in `_dfs_completions`, of weight w.
+
+    Its weight is w by construction: the low picks use u, the high picks
+    use w - r, the join makes r - u = n*delta, and the parts sum to n,
+    so the total is u + (w - r) + n*delta = w.  The picks are nonzero
+    and ascending in k, and the parts a partition, so the datum is built
+    with `_derived`.
+    """
     real = [RealEntry(LOW, k, m) for k, m in low_picks]
     real += [RealEntry(HIGH, k, m) for k, m in high_picks]
-    return LusztigDatum(kind, tuple(real), parts)
+    return _derived(kind, tuple(real), parts, w)
 
 
 def _dfs_completions(known: LusztigDatum) -> list[LusztigDatum]:
@@ -306,7 +324,7 @@ def _dfs_completions(known: LusztigDatum) -> list[LusztigDatum]:
                 continue
             d1 = RootVector(kp.low_a[K] - (w.a - ha), kp.low_b[K] - (w.b - hb))
             for parts in _delta_candidates(kind, known.delta, n, d1):
-                cand = _assemble(kind, low_picks, high_picks, parts)
+                cand = _assemble(kind, low_picks, high_picks, parts, w)
                 cp = path_prefixes(cand, K)
                 if not mv_violations(kind, cp, kp, parts, known.delta, True):
                     sols.append(cand)

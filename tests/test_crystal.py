@@ -222,6 +222,36 @@ class TestTriangleTubeStructure:
                     assert not same and commute
 
 
+# Graphs of the frozen sweep sizes (257 and 78 nodes).
+KS_DEPTH = {Algebra.SL2_HAT: 8, Algebra.A2_TWISTED: 6}
+
+
+class TestKashiwaraSaito:
+    """Conditions (ii) and (v) of Kashiwara-Saito's characterization of
+    B(-infinity), on every node of the frozen sweep graphs; `verify`
+    checks (iii), (iv) and (vi)."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_e_i_commutes_with_the_other_starred_raise(self, kind):
+        # (ii): e_i e_j* == e_j* e_i for i != j.
+        for b in crystal_graph(kind, KS_DEPTH[kind]).nodes:
+            for i, j in ((0, 1), (1, 0)):
+                assert e(i, e_star(j, b)) == e_star(j, e(i, b))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_off_the_tube_a_raise_keeps_the_other_string_length(self, kind):
+        # (v): merge >= 1 implies phi_i*(e_i b) == phi_i*(b) and
+        # phi_i(e_i* b) == phi_i(b).
+        merged = 0
+        for b in crystal_graph(kind, KS_DEPTH[kind]).nodes:
+            for i in (0, 1):
+                if eps(i, b) + phi_star(i, b) >= 1:
+                    merged += 1
+                    assert phi_star(i, e(i, b)) == phi_star(i, b)
+                    assert phi(i, e_star(i, b)) == phi(i, b)
+        assert merged  # the condition was exercised
+
+
 class TestGraphs:
     def test_first_shell(self):
         g = crystal_graph(Algebra.SL2_HAT, 1)

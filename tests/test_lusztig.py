@@ -110,6 +110,23 @@ class TestPartitions:
     def test_max_part_bound(self):
         assert list(partitions(4, max_part=2)) == [(2, 2), (2, 1, 1), (1, 1, 1, 1)]
 
+    def test_order_matches_the_recursive_definition(self):
+        def reference(n, top):
+            if n == 0:
+                yield ()
+                return
+            for first in range(min(n, top), 0, -1):
+                for rest in reference(n - first, first):
+                    yield (first,) + rest
+
+        for n in range(13):
+            assert list(partitions(n)) == list(reference(n, n))
+            for top in range(n + 2):
+                assert list(partitions(n, max_part=top)) == list(reference(n, top))
+
+    def test_many_parts_need_no_recursion(self):
+        assert list(partitions(1200, max_part=1)) == [(1,) * 1200]
+
     def test_part_edits(self):
         assert largest_part(()) == 0
         assert largest_part((4, 2)) == 4
@@ -171,6 +188,16 @@ class TestDatumConstruction:
         for entry in (RealEntry(LOW, 2.0, 1), RealEntry(HIGH, 1, 1.5)):
             with pytest.raises(ValueError):
                 LusztigDatum(Algebra.SL2_HAT, (entry,))
+
+    def test_negative_multiplicity_message_names_the_zero_floor(self):
+        # datum() drops a zero multiplicity, so its floor is 0; the
+        # strict constructor stores none, so its floor stays 1.
+        for mult in (-1, 1.5):
+            message = rf"^multiplicity must be an integer >= 0, got {mult!r}$"
+            with pytest.raises(ValueError, match=message):
+                datum(Algebra.SL2_HAT, {(LOW, 1): mult})
+        with pytest.raises(ValueError, match=r">= 1, got -1$"):
+            LusztigDatum(Algebra.SL2_HAT, (RealEntry(LOW, 1, -1),))
 
     def test_partition_handling(self):
         # The factory sorts loose part lists; the strict constructor

@@ -15,8 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affmv.crystal import e, eps, eps_star, f, phi, phi_star
-from affmv.lusztig import datum, enumerate_data, trapezoid_datum, twist_tau
+from affmv.crystal import _bump, crystal_graph, e, eps, eps_star, f, phi, phi_star
+from affmv.lusztig import (
+    LusztigDatum,
+    RealEntry,
+    datum,
+    enumerate_data,
+    trapezoid_datum,
+    twist_tau,
+)
 from affmv.polytope import DecoratedPolytope, is_mv
 from affmv.roots import FAMILIES, HIGH, LOW, Algebra, RootVector, beta, delta
 from affmv.transition import (
@@ -262,3 +269,72 @@ class TestInvolutionProperties:
             # Kashiwara-Saito condition (iii): the merge level is one
             # number, read from either side, and never negative.
             assert eps(i, b) + phi_star(i, b) == eps_star(i, b) + phi(i, b) >= 0
+
+
+def assert_matches_validated(d):
+    """d equals its rebuild through the public constructor, weight memo included."""
+    rebuilt = LusztigDatum(d.kind, d.real, d.delta)
+    assert all(type(entry) is RealEntry for entry in d.real)
+    assert d == rebuilt and hash(d) == hash(rebuilt)
+    assert d.weight == rebuilt.weight
+
+
+def assert_bumps_match_with_mult(d):
+    for family in FAMILIES:
+        held = d.mult(family, 1)
+        for by in (1, -1):
+            if held + by < 0:
+                with pytest.raises(ValueError):
+                    _bump(d, family, by)
+                continue
+            bumped = _bump(d, family, by)
+            assert_matches_validated(bumped)
+            assert bumped == d.with_mult(family, 1, held + by)
+
+
+class TestTrustedPath:
+    """Data and polytopes the library derives skip the public checks;
+    each must equal what the validated constructors build from it."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_graph_nodes_and_their_bumps(self, kind, data):
+        b = data.draw(st.sampled_from(crystal_graph(kind, 6).nodes))
+        assert DecoratedPolytope(b.left, b.right) == b
+        for d in (b.left, b.right):
+            assert_matches_validated(d)
+            assert_bumps_match_with_mult(d)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_completions_and_their_bumps(self, kind, data):
+        d = data.draw(bounded_data(kind, max_height=200))
+        for P in (complete_from_left(d), complete_from_right(d)):
+            assert DecoratedPolytope(P.left, P.right) == P
+            for side in (P.left, P.right):
+                assert_matches_validated(side)
+                assert_bumps_match_with_mult(side)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_bumps_from_and_to_zero(self, kind):
+        zero = datum(kind)
+        for family in FAMILIES:
+            up = _bump(zero, family, 1)
+            assert up == datum(kind, {(family, 1): 1})
+            assert up.weight == beta(kind, family, 1)
+            down = _bump(up, family, -1)
+            assert down == zero and down.weight == zero.weight
+            with pytest.raises(ValueError, match=r">= 1, got -1$"):
+                _bump(zero, family, -1)
+        # Splicing at index 1 of one ladder keeps the other ladder and
+        # the later indices in place.
+        d = datum(kind, {(LOW, 2): 1, (HIGH, 1): 1, (HIGH, 3): 2}, (2,))
+        assert_bumps_match_with_mult(d)
+        assert_bumps_match_with_mult(_bump(d, LOW, 1))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_enumerated_data(self, kind):
+        for d in tiny_data(kind):
+            assert_matches_validated(d)

@@ -9,7 +9,6 @@ exhaustive enumeration of all data at a fixed weight.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .roots import (
@@ -19,12 +18,13 @@ from .roots import (
     Algebra,
     RootVector,
     _check_node,
+    _run_tops,
     beta,
     delta,
-    delta_multiple,
     ladder_root,
+    ladder_table,
     length_ratio,
-    positive_real_roots,
+    max_real_index,
     root_label,
     simple_reflection,
 )
@@ -157,6 +157,30 @@ def _check_entry(family: object, k: object, mult: object, least: int = 1) -> Non
         raise ValueError(f"multiplicity must be an integer >= {least}, got {mult!r}")
 
 
+class _memo:
+    """A `cached_property` that keeps CPython's compact instance layout.
+
+    `functools.cached_property` stores its value through the instance
+    `__dict__`, which makes CPython materialize a full per-instance dict
+    and more than doubles a small object's size.  This one stores it
+    with `object.__setattr__`, as a dataclass `__init__` sets fields, so
+    it also works on frozen dataclasses.  It has no `__set__`, so the
+    stored attribute shadows it from then on.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.func(obj)
+        object.__setattr__(obj, self.name, value)
+        return value
+
+
 @dataclass(frozen=True)
 class LusztigDatum:
     """Multiplicities on the real roots plus the imaginary partition.
@@ -202,11 +226,11 @@ class LusztigDatum:
     def is_zero(self) -> bool:
         return not self.real and not self.delta
 
-    @cached_property
+    @_memo
     def weight(self) -> RootVector:
         """Sum of all roots of the datum, counted with multiplicity.
 
-        Computed on first use and kept in the instance dict, outside the
+        Computed on first use and kept as an attribute outside the
         fields, so equality, hashing and repr do not see it.  Data built
         by `_derived` carry it from construction.
         """
@@ -230,10 +254,9 @@ def _derived(
     a partition and that `weight` is the datum's weight.  The weight is
     stored as an instance attribute, where the `weight` memo would keep
     it, so the memo is never entered.  Attributes are set one by one, as
-    the dataclass `__init__` does, rather than through `__dict__`: that
-    keeps CPython's compact per-instance layout, where a materialized
-    dict would more than double each datum's size.  Inputs from outside
-    go through `LusztigDatum(...)` or `datum()` instead.
+    the dataclass `__init__` and the memo do, rather than through
+    `__dict__`: that keeps CPython's compact per-instance layout.  Inputs
+    from outside go through `LusztigDatum(...)` or `datum()` instead.
     """
     d = object.__new__(LusztigDatum)
     object.__setattr__(d, "kind", kind)
@@ -335,50 +358,106 @@ def trapezoid_datum(kind: Algebra, lam: Iterable[int]) -> LusztigDatum:
     )
 
 
-def _max_mult(ra: int, rb: int, root: RootVector) -> int:
-    top = None
-    if root.a:
-        top = ra // root.a
-    if root.b:
-        cap = rb // root.b
-        top = cap if top is None else min(top, cap)
-    assert top is not None
-    return top
+def _ladder_choices(
+    kind: Algebra, family: str, table: Sequence[tuple[int, int]], ra: int, rb: int
+) -> Iterator[tuple[tuple[RealEntry, ...], int, int]]:
+    """The choices of multiplicities on one ladder that fit under (ra, rb).
+
+    Yields (entries, ra, rb), the residual being what the choice leaves:
+    every choice on the low ladder, and on the high ladder, the last one,
+    only those that leave a multiple of delta.  Multiplicities are chosen
+    along the ladder, k ascending, smallest first, so choices come in
+    lexicographic order; `table` holds the ladder's roots
+    (`roots.ladder_table`) as far as any fits under (ra, rb).
+
+    A root that does not fit the residual can only take multiplicity 0,
+    and neither can any later root of its run (`roots._run_tops`), since
+    the residual only shrinks.  So the next root that fits is k or k + 1,
+    or none is left, and the walk moves there with no stack frame for the
+    roots in between.  Multiplicity 0 continues in the current frame;
+    each larger one is pushed.
+
+    On the high ladder the residual must end on the delta ray, where its
+    lean b - r*a (`roots.lean`) is 0.  High roots lean to alpha0: each
+    unit at the root (a, b) of index k raises the residual's lean by
+    r*a - b > 0 and takes a from its a, which is k/r per unit of lean on
+    both algebras.  So with a lean L still to make up, the multiplicity
+    at k is at most L/(r*a - b), and a choice can only end on the ray if
+    L*k/r is at most the residual's a; as that cost grows with k, the
+    frame stops once it fails, or once L is 0.
+    """
+    ratio = length_ratio(kind)
+    # (next k, residual a, residual b, entries so far); frames are pushed
+    # largest multiplicity first, so they pop smallest first.
+    stack: list[tuple[int, int, int, tuple[RealEntry, ...]]] = [(1, ra, rb, ())]
+    while stack:
+        k, ra, rb, picked = stack.pop()
+        tops = _run_tops(kind, family, ra, rb)
+        while True:
+            if k > tops[k % len(tops)]:
+                k += 1
+                if k > tops[k % len(tops)]:
+                    break
+            sa, sb = table[k]
+            top = min(ra // sa if sa else rb, rb // sb if sb else ra)
+            if family == HIGH:
+                lack = ratio * ra - rb
+                if lack == 0 or lack * k > ratio * ra:
+                    break
+                top = min(top, lack // (ratio * sa - sb))
+            for m in range(top, 0, -1):
+                entry = RealEntry(family, k, m)
+                stack.append((k + 1, ra - m * sa, rb - m * sb, picked + (entry,)))
+            k += 1
+        if family == LOW or rb == ratio * ra:
+            yield picked, ra, rb
 
 
-@lru_cache(maxsize=None)
+def _real_parts(
+    kind: Algebra, w: RootVector
+) -> Iterator[tuple[tuple[RealEntry, ...], int]]:
+    """Each real part of a datum of weight w, with the n it leaves.
+
+    Yields (entries, n) for every choice of multiplicities on the
+    positive real roots whose residual w - (their sum) is n*delta, n >= 0;
+    the data of weight w are these entries with each partition of n.
+    The roots are taken in canonical order (low ladder ascending, then
+    high ladder ascending), so the entries are in canonical order and
+    the real parts in lexicographic order of their multiplicities, which
+    is `enumerate_data`'s order.
+
+    Each low-ladder choice (`_ladder_choices`) is followed by each
+    high-ladder choice that leaves n*delta.  Those depend only on the
+    residual the low choice leaves, so they are walked once per residual
+    and kept for the call.
+    """
+    if w.a < 0 or w.b < 0:
+        return
+    top_k = max_real_index(kind, w)
+    low_table, high_table = (ladder_table(kind, f, top_k) for f in (LOW, HIGH))
+    closings: dict[tuple[int, int], list[tuple[tuple[RealEntry, ...], int]]] = {}
+    for low, ra, rb in _ladder_choices(kind, LOW, low_table, w.a, w.b):
+        ends = closings.get((ra, rb))
+        if ends is None:
+            # The residual left is n*delta, and delta has a == 1.
+            ends = closings[ra, rb] = [
+                (high, n)
+                for high, n, _ in _ladder_choices(kind, HIGH, high_table, ra, rb)
+            ]
+        for high, n in ends:
+            yield low + high, n
+
+
 def enumerate_data(kind: Algebra, w: RootVector) -> tuple[LusztigDatum, ...]:
     """Every Lusztig datum of weight w, in canonical deterministic order.
 
-    Multiplicities are chosen along the fixed root order (low ladder
-    ascending, then high ladder ascending), smallest first, and whatever
-    residual is a multiple of delta closes off with each partition of it.
-    Each datum so built has weight w by construction and is made with
-    `_derived`.  The search keeps its own stack, so no closure cycle holds
-    the result list after the call.
+    Each real part of `_real_parts`, in its order, closes off with each
+    partition of what it leaves.  Each datum so built has weight w by
+    construction and is made with `_derived`.  Nothing is cached: a
+    caller that reuses a weight keeps its own copy.
     """
-    if w.a < 0 or w.b < 0:
-        return ()
-    roots = positive_real_roots(kind, w)
-    out: list[LusztigDatum] = []
-    # (next root, residual a, residual b, entries picked so far); children
-    # are pushed largest multiplicity first so they pop smallest first.
-    stack: list[tuple[int, int, int, tuple[RealEntry, ...]]] = [(0, w.a, w.b, ())]
-    while stack:
-        idx, ra, rb, picked = stack.pop()
-        if idx == len(roots):
-            n = delta_multiple(kind, RootVector(ra, rb))
-            if n is not None:
-                out.extend(_derived(kind, picked, parts, w) for parts in partitions(n))
-            continue
-        root, family, k = roots[idx]
-        for m in range(_max_mult(ra, rb, root), -1, -1):
-            stack.append(
-                (
-                    idx + 1,
-                    ra - m * root.a,
-                    rb - m * root.b,
-                    picked + (RealEntry(family, k, m),) if m else picked,
-                )
-            )
-    return tuple(out)
+    return tuple(
+        _derived(kind, real, parts, w)
+        for real, n in _real_parts(kind, w)
+        for parts in partitions(n)
+    )

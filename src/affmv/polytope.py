@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .lusztig import LusztigDatum, Partition, largest_part, remove_part
+from .lusztig import LusztigDatum, Partition, RealEntry, largest_part, remove_part
 from .roots import HIGH, LOW, Algebra, RootVector, ladder_root, lean, length_ratio
 from .roots import max_real_index
 
@@ -104,30 +104,38 @@ class PathTooLong(ValueError):
     """A datum or weight needs prefix arrays past `MAX_PATH_INDEX`."""
 
 
+def _ladder_prefixes(
+    kind: Algebra, real: Sequence[RealEntry], family: str, upto: int
+) -> tuple[list[int], list[int]]:
+    """Prefix sums (xs, ys) of one ladder's entries of `real`, indices 0..upto.
+
+    Index k sums the entries at indices <= k; `real` is in canonical
+    order, and entries past `upto` are left out.  Each entry extends the
+    lists by one run, so the cost is in the entries, not in `upto`.
+    """
+    xs: list[int] = []
+    ys: list[int] = []
+    a = b = 0
+    for entry_family, k, mult in real:
+        if entry_family != family or k > upto:
+            continue
+        xs += [a] * (k - len(xs))
+        ys += [b] * (k - len(ys))
+        ra, rb = ladder_root(kind, family, k)
+        a += mult * ra
+        b += mult * rb
+    xs += [a] * (upto + 1 - len(xs))
+    ys += [b] * (upto + 1 - len(ys))
+    return xs, ys
+
+
 def path_prefixes(d: LusztigDatum, upto: int) -> PathPrefixes:
     if upto > MAX_PATH_INDEX:
         raise PathTooLong(
             f"ladder index {upto} is past the supported limit {MAX_PATH_INDEX}"
         )
-    low = {entry.k: entry.mult for entry in d.real if entry.family == LOW}
-    high = {entry.k: entry.mult for entry in d.real if entry.family == HIGH}
-    la = [0] * (upto + 1)
-    lb = [0] * (upto + 1)
-    ha = [0] * (upto + 1)
-    hb = [0] * (upto + 1)
-    for k in range(1, upto + 1):
-        la[k], lb[k] = la[k - 1], lb[k - 1]
-        ha[k], hb[k] = ha[k - 1], hb[k - 1]
-        m = low.get(k, 0)
-        if m:
-            a, b = ladder_root(d.kind, LOW, k)
-            la[k] += m * a
-            lb[k] += m * b
-        m = high.get(k, 0)
-        if m:
-            a, b = ladder_root(d.kind, HIGH, k)
-            ha[k] += m * a
-            hb[k] += m * b
+    la, lb = _ladder_prefixes(d.kind, d.real, LOW, upto)
+    ha, hb = _ladder_prefixes(d.kind, d.real, HIGH, upto)
     return PathPrefixes(tuple(la), tuple(lb), tuple(ha), tuple(hb))
 
 
@@ -267,6 +275,25 @@ def mv_violations(
     # vertical-edge feet, d2 the two top ones.
     d1 = RootVector(R.low_a[upto] - L.high_a[upto], R.low_b[upto] - L.high_b[upto])
     d2 = RootVector(L.low_a[upto] - R.high_a[upto], L.low_b[upto] - R.high_b[upto])
+    return bad + _edge_violations(kind, d1, d2, left_delta, right_delta, first_only)
+
+
+def _edge_violations(
+    kind: Algebra,
+    d1: RootVector,
+    d2: RootVector,
+    left_delta: Partition,
+    right_delta: Partition,
+    first_only: bool,
+) -> list[MVViolation]:
+    """Conditions 3 and 4 of `mv_violations`, given the vertical edges.
+
+    d1 spans the two bottom vertical-edge feet (right low endpoint minus
+    left high endpoint) and d2 the two top ones (left low endpoint minus
+    right high endpoint).  These are the only conditions that read the
+    partitions.
+    """
+    bad: list[MVViolation] = []
     num, den = part_size_ratio(kind, d1)
 
     if d1.a * d2.b - d1.b * d2.a == 0:

@@ -225,26 +225,39 @@ def ladder_table(kind: Algebra, family: str, upto: int) -> tuple[tuple[int, int]
     return ((0, 0), *(ladder_root(kind, family, k) for k in range(1, upto + 1)))
 
 
-def max_real_index(kind: Algebra, box: RootVector) -> int:
-    """Largest k whose root on either ladder fits under box, else 0.
+def _run_tops(kind: Algebra, family: str, A: int, B: int) -> tuple[int, ...]:
+    """Per run of one ladder, the largest k whose root fits under (A, B).
 
     Ladder coordinates are not monotone in k for the twisted algebra, but
     each ladder splits into runs (every k for sl2hat, odd and even k for
     a2(2)) along which both coordinates grow linearly in a parameter j.
-    The roots of a run that fit under box are an initial segment, so its
-    last fitting j is the smaller of two floor quotients; a run with no
-    fitting root gives a k <= 0.
+    The roots of a run that fit under (A, B) are an initial segment, so
+    its last fitting j is the smaller of two floor quotients.  Entry
+    k % len(result) is the top of k's run, so k fits exactly when it is
+    at most that entry; a run with no fitting root gives a top below 1.
     """
-    A, B = box.a, box.b
     if kind is Algebra.SL2_HAT:
         # low (k-1, k), high (k, k-1)
-        return max(0, min(A + 1, B), min(A, B + 1))
-    return max(
-        0,
-        2 * min(A, (B - 1) // 2) + 1,  # low 2j+1: (j, 2j+1)
-        2 * min((A + 1) // 2, B // 4),  # low 2j: (2j-1, 4j)
-        2 * min((A - 1) // 2, B // 4) + 1,  # high 2j+1: (2j+1, 4j)
+        return (min(A + 1, B),) if family == LOW else (min(A, B + 1),)
+    if family == LOW:
+        return (
+            2 * min((A + 1) // 2, B // 4),  # low 2j: (2j-1, 4j)
+            2 * min(A, (B - 1) // 2) + 1,  # low 2j+1: (j, 2j+1)
+        )
+    return (
         2 * min(A, (B + 1) // 2),  # high 2j: (j, 2j-1)
+        2 * min((A - 1) // 2, B // 4) + 1,  # high 2j+1: (2j+1, 4j)
+    )
+
+
+def max_real_index(kind: Algebra, box: RootVector) -> int:
+    """Largest k whose root on either ladder fits under box, else 0.
+
+    The largest run top of the two ladders (`_run_tops`).
+    """
+    A, B = box.a, box.b
+    return max(
+        0, *_run_tops(kind, LOW, A, B), *_run_tops(kind, HIGH, A, B)
     )
 
 

@@ -37,12 +37,16 @@ from .lusztig import (
     Partition,
     RealEntry,
     _derived,
+    _real_parts,
     add_part,
-    enumerate_data,
+    partitions,
     remove_part,
 )
 from .polytope import (
     DecoratedPolytope,
+    _edge_violations,
+    _half_path_defect,
+    _ladder_prefixes,
     _pair,
     mv_violations,
     part_size_ratio,
@@ -118,7 +122,7 @@ def _partner(known: LusztigDatum, solver: str) -> LusztigDatum:
     if hit is not None:
         return hit
     if solver == ORACLE:
-        found = _oracle_completions(known)
+        found, _ = _oracle_completions(known)
     elif solver == DFS:
         found = _dfs_completions(known)
     else:
@@ -131,18 +135,62 @@ def _partner(known: LusztigDatum, solver: str) -> LusztigDatum:
     return found[0]
 
 
-def _oracle_completions(known: LusztigDatum) -> list[LusztigDatum]:
-    """Generate and test: every datum of the same weight, MV-checked."""
+def _oracle_completions(known: LusztigDatum) -> tuple[list[LusztigDatum], int]:
+    """Generate and test: every datum of the same weight gets an MV verdict.
+
+    The candidates, placed on the left, are the data of `enumerate_data`
+    in its order, walked without building them: each real part of
+    `lusztig._real_parts` with each partition of what it leaves.
+    Conditions 1 and 2 do not read the partition, and each reads one
+    half of the candidate (`polytope._half_path_defect`), so, as in
+    `verify._pairing`, each is scanned once per distinct half, and its
+    verdict holds for every candidate with that half.  The candidates of
+    a real part failing either condition fail with every partition; for
+    a real part passing both, conditions 3 and 4 run on each partition.
+    Only a candidate passing all four is built as a datum.
+
+    Returns the passing data and the number of candidates judged, which
+    is the number of data of the weight.
+    """
     kind = known.kind
     w = known.weight
     K = weight_truncation_index(kind, w)
     kp = path_prefixes(known, K)
-    out = []
-    for cand in enumerate_data(kind, w):
-        cp = path_prefixes(cand, K)
-        if not mv_violations(kind, cp, kp, cand.delta, known.delta, True):
-            out.append(cand)
-    return out
+
+    def half_end(memo, half, family, swap, Vx, Vy):
+        """The endpoint of one half of the candidate if its condition holds."""
+        if half not in memo:
+            xs, ys = _ladder_prefixes(kind, half, family, K)
+            Ux, Uy = (ys, xs) if swap else (xs, ys)
+            ok = _half_path_defect(Ux, Uy, Vx, Vy, 2, K + 1) is None
+            memo[half] = (xs[K], ys[K]) if ok else None
+        return memo[half]
+
+    cond1: dict[tuple[RealEntry, ...], tuple[int, int] | None] = {}
+    cond2: dict[tuple[RealEntry, ...], tuple[int, int] | None] = {}
+    sizes: dict[int, int] = {}  # number of partitions of n
+    found: list[LusztigDatum] = []
+    judged = 0
+    for real, n in _real_parts(kind, w):
+        cut = sum(entry.family == LOW for entry in real)  # low entries lead
+        # Condition 1: the candidate's high half against the known low
+        # half; condition 2: its low half against the known high half.
+        high_end = half_end(cond1, real[cut:], HIGH, False, kp.low_a, kp.low_b)
+        low_end = None
+        if high_end is not None:
+            low_end = half_end(cond2, real[:cut], LOW, True, kp.high_b, kp.high_a)
+        if low_end is None:
+            if n not in sizes:
+                sizes[n] = sum(1 for _ in partitions(n))
+            judged += sizes[n]
+            continue
+        d1 = RootVector(kp.low_a[K] - high_end[0], kp.low_b[K] - high_end[1])
+        d2 = RootVector(low_end[0] - kp.high_a[K], low_end[1] - kp.high_b[K])
+        for parts in partitions(n):
+            judged += 1
+            if not _edge_violations(kind, d1, d2, parts, known.delta, True):
+                found.append(_derived(kind, real, parts, w))
+    return found, judged
 
 
 _Picks = tuple[tuple[int, int], ...]

@@ -6,6 +6,9 @@ a multiset of positive real roots plus n copies of delta, summed with
 the partition-count factor p(n).
 """
 
+import gc
+import hashlib
+import tracemalloc
 from functools import lru_cache
 
 import pytest
@@ -19,6 +22,7 @@ from affmv.lusztig import (
     PreconditionViolated,
     RealEntry,
     UnsupportedKind,
+    _derived,
     add_part,
     datum,
     enumerate_data,
@@ -241,6 +245,42 @@ class TestWeight:
         assert "weight" not in vars(fresh)  # none of these computed it
         assert fresh.weight == memoized.weight
 
+    def test_memo_keeps_the_compact_layout(self):
+        """Reading the weight adds the weight and nothing more.
+
+        A datum from the public constructor, once its weight is read,
+        takes no more memory than one from `_derived`, which carries its
+        weight from construction.  Both share their fields; each holds
+        its own weight vector.
+        """
+        d = reference_right_datum()
+        kind, real, parts = d.kind, d.real, d.delta
+
+        def public():
+            built = LusztigDatum(kind, real, parts)
+            built.weight
+            return built
+
+        def derived():
+            return _derived(kind, real, parts, RootVector(20, 22))
+
+        def footprint(build):
+            build()  # any one-off allocation happens outside the count
+            gc.disable()  # nor may a collection allocate inside it
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                kept = [build() for _ in range(2000)]
+                used = tracemalloc.get_traced_memory()[0] - base
+            finally:
+                tracemalloc.stop()
+                gc.enable()
+            assert all(vars(x) == {**vars(d), "weight": d.weight} for x in kept)
+            return used
+
+        footprint(derived)  # the first traced run pays one-off costs
+        assert footprint(public) <= footprint(derived)
+
 
 class TestTwists:
     @pytest.mark.parametrize("kind", KINDS)
@@ -319,6 +359,26 @@ class TestEnumeration:
         for d in data:
             assert isinstance(d, LusztigDatum)
             assert d.weight == w
+
+    @pytest.mark.parametrize(
+        "kind, w, digest",
+        (
+            (
+                Algebra.SL2_HAT,
+                RootVector(8, 8),
+                "1aa1a160fc6a8e551747631f74f47c02ae9f619f5b92b734fce9ac5d30906b14",
+            ),
+            (
+                Algebra.A2_TWISTED,
+                RootVector(5, 10),
+                "b584fc678d61ed0cf346672585f750c98bacdb023ade6b1c535a87f0f7b854b3",
+            ),
+        ),
+    )
+    def test_order_is_pinned(self, kind, w, digest):
+        """Sweeps name data by their position, so the order is fixed."""
+        data = enumerate_data(kind, w)
+        assert hashlib.sha256(repr(data).encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_negative_weight_has_no_data(self, kind):

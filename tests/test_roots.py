@@ -21,6 +21,7 @@ from affmv.roots import (
     ZERO,
     Algebra,
     RootVector,
+    _run_tops,
     beta,
     cartan_pair,
     delta,
@@ -277,6 +278,22 @@ class TestLadders:
             for b in range(-2, 121):
                 box = RootVector(a, b)
                 assert max_real_index(kind, box) == scan(box), box
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_run_tops_decide_which_roots_fit(self, kind):
+        """k fits under a box exactly when it is at most its run's top.
+
+        Every box up to (20, 40), empty and negative ones included; no
+        root past index 41 fits in any of them.
+        """
+        for family in FAMILIES:
+            rungs = [(k, beta(kind, family, k)) for k in range(1, 46)]
+            for a in range(-2, 21):
+                for b in range(-2, 41):
+                    tops = _run_tops(kind, family, a, b)
+                    for k, r in rungs:
+                        fits = r.a <= a and r.b <= b
+                        assert fits == (k <= tops[k % len(tops)]), (family, a, b, k)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_ladder_table_lists_beta(self, kind):

@@ -19,8 +19,10 @@ from affmv.crystal import _bump, crystal_graph, e, eps, eps_star, f, phi, phi_st
 from affmv.lusztig import (
     LusztigDatum,
     RealEntry,
+    _real_parts,
     datum,
     enumerate_data,
+    partitions,
     trapezoid_datum,
     twist_tau,
 )
@@ -29,12 +31,14 @@ from affmv.roots import FAMILIES, HIGH, LOW, Algebra, RootVector, beta, delta
 from affmv.transition import (
     DFS,
     ORACLE,
+    _oracle_completions,
     clear_cache,
     complete_from_left,
     complete_from_right,
     transition_l_to_r,
 )
-from conftest import KINDS
+from conftest import KINDS, REFERENCE_WEIGHT
+from test_lusztig import count_data
 
 TINY_BOX = {
     Algebra.SL2_HAT: RootVector(3, 3),
@@ -116,6 +120,22 @@ class TestSolverAgreement:
             )
 
     @pytest.mark.parametrize("kind", KINDS)
+    def test_dfs_matches_the_oracle_past_the_tiny_box(self, kind):
+        """30 random data per algebra at weights (11..16, 11..16), seeded.
+
+        A random real part of the weight closes off with a random
+        partition of what it leaves, so no datum list is built.
+        """
+        rng = random.Random(1305)
+        for _ in range(30):
+            w = RootVector(rng.randint(11, 16), rng.randint(11, 16))
+            real, n = rng.choice(list(_real_parts(kind, w)))
+            d = LusztigDatum(kind, real, rng.choice(list(partitions(n))))
+            assert transition_l_to_r(d, solver=DFS) == transition_l_to_r(
+                d, solver=ORACLE
+            )
+
+    @pytest.mark.parametrize("kind", KINDS)
     def test_completing_twice_is_the_identity(self, kind):
         for d in tiny_data(kind):
             assert transition_l_to_r(transition_l_to_r(d)) == d
@@ -128,6 +148,24 @@ class TestSolverAgreement:
             assert partner.weight == d.weight
             moved += partner != d
         assert moved > 0
+
+
+class TestOracle:
+    """The oracle judges every datum of the weight, one verdict each."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_datum_of_a_tiny_weight_is_judged(self, kind):
+        for d in tiny_data(kind):
+            found, judged = _oracle_completions(d)
+            assert judged == count_data(kind, d.weight)
+            assert found == [transition_l_to_r(d, solver=DFS)]
+
+    def test_every_datum_of_the_reference_weight_is_judged(
+        self, reference_left, reference_right
+    ):
+        found, judged = _oracle_completions(reference_right)
+        assert judged == count_data(Algebra.SL2_HAT, REFERENCE_WEIGHT) == 263175
+        assert found == [reference_left]
 
 
 LARGE_DATA = {

@@ -14,16 +14,13 @@ from .roots import (
     LOW,
     ZERO,
     Algebra,
-    LabeledRoot,
     RootVector,
     beta,
     cartan_pair,
     delta,
-    delta_multiple,
     ladder_root,
     length_ratio,
     max_real_index,
-    positive_real_roots,
     root_label,
     simple_reflection,
     symmetrized_form,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 __all__ = [
     "Algebra",
@@ -23,9 +22,7 @@ __all__ = [
     "LOW",
     "HIGH",
     "FAMILIES",
-    "LabeledRoot",
     "delta",
-    "delta_multiple",
     "symmetrized_form",
     "cartan_pair",
     "simple_reflection",
@@ -36,7 +33,6 @@ __all__ = [
     "root_label",
     "ladder_table",
     "max_real_index",
-    "positive_real_roots",
 ]
 
 
@@ -119,13 +115,6 @@ def _check_node(i: int) -> None:
 def delta(kind: Algebra) -> RootVector:
     """The minimal positive imaginary root."""
     return _DELTA[kind]
-
-
-def delta_multiple(kind: Algebra, v: RootVector) -> int | None:
-    """n >= 0 with v == n*delta, or None if v is not such a multiple."""
-    if v.a >= 0 and v == v.a * _DELTA[kind]:
-        return v.a
-    return None
 
 
 def symmetrized_form(kind: Algebra, v: RootVector, w: RootVector) -> int:
@@ -259,21 +248,3 @@ def max_real_index(kind: Algebra, box: RootVector) -> int:
     return max(
         0, *_run_tops(kind, LOW, A, B), *_run_tops(kind, HIGH, A, B)
     )
-
-
-class LabeledRoot(NamedTuple):
-    root: RootVector
-    family: str
-    k: int
-
-
-def positive_real_roots(kind: Algebra, box: RootVector) -> list[LabeledRoot]:
-    """All positive real roots under box, low ladder first, ascending k."""
-    top = max_real_index(kind, box)
-    out = []
-    for family in FAMILIES:
-        for k in range(1, top + 1):
-            r = beta(kind, family, k)
-            if r.a <= box.a and r.b <= box.b:
-                out.append(LabeledRoot(r, family, k))
-    return out

@@ -8,10 +8,12 @@ there is linear in the one multiplicity being chosen, so it yields no
 value, one value or an interval directly.  The two ladders of the
 unknown datum are searched once each, iteratively, and joined on the
 weight they leave over, which must be a multiple of delta; runs of
-indices where the condition forces zero are skipped in one step.  The
-leftover closes off with the handful of partitions the vertical-edge
-condition allows.  Both solvers assert that exactly one completion
-exists and abort loudly if the search ever contradicts that.
+indices where the condition forces zero are skipped in one step, and
+the index-1 multiplicities past the point where every later index is
+forced share one chain, computed once per ladder.  The leftover closes
+off with the handful of partitions the vertical-edge condition allows.
+Both solvers assert that exactly one completion exists and abort loudly
+if the search ever contradicts that.
 
 Completing from the left and completing from the right are one map T,
 an involution: the MV relation is symmetric under exchanging the two
@@ -227,13 +229,55 @@ def _ladder_leaves(
     that `mv_violations` checks with `polytope._half_path_defect`.
     Yields (picks, rx, ry): the nonzero multiplicities as (k, m) pairs in
     ascending k, and the weight left over.
+
+    Index 1 is (1, 0) in both coordinate systems and has no condition of
+    its own; the c term at index 2 is X[2] - m1, so m1 starts at X[2].
+    Write (cx, cy) for the weight the picks at 2..k-1 use.  Then
+    c = X[k] - (m1 + cx) and gap = Y[k-1] - cy at index k: m1 enters c
+    and never gap.  So one pass over k = 2..K, before any m1 is tried,
+    follows the forced chain, the picks every step makes while c < 0,
+    and finds the threshold T = max over its indices of X[k] - cx:
+
+    - For m1 > T, c < 0 at every index, by induction along the chain:
+      the picks before k are the chain's, so cx is the chain's, and
+      X[k] - (m1 + cx) < X[k] - cx - T <= 0.  Each step is then the
+      point m = gap/s, the same for every such m1.  When gap % s != 0
+      at some k the point does not exist, the pass stops there, and no
+      m1 > T survives.  The gap is never negative on the chain: it is
+      the known datum's y step at k-1, the chain having matched Y[k-2].
+    - A zero gap gives m = 0 in the chain and is skipped to nxt[k],
+      exactly as the per-m1 walk below skips it; c and the gap do not
+      move across the skipped indices, so T gains nothing there.
+    - The weight used grows along the chain, so every step fits exactly
+      when the last does.  The chain ends with cy <= Y[K], which the
+      known datum's own ladder uses, so cy <= wy always; the cap
+      m1 + cx <= wx tightens as m1 grows, so the surviving m1 > T are
+      the one interval T+1 .. wx - cx, each yielded with no walk at all.
+
+    Only m1 in X[2]..min(T, wx) is walked.  Each such m1 gets its own
+    stack, so memory stays bounded however many values it takes.
     """
     K = len(table) - 1
-    # Index 1 is (1, 0) in these coordinates and has no condition of its
-    # own; the c term at index 2 is X[2] - m, so m starts at X[2].  Each
-    # such m gets its own stack, so memory stays bounded however many
-    # values it takes.
-    for m1 in range(X[2], wx + 1):
+    T, cx, cy = X[2], 0, 0
+    chain: list[tuple[int, int]] | None = []
+    k = 2
+    while k <= K:
+        T = max(T, X[k] - cx)
+        gap = Y[k - 1] - cy
+        if gap == 0:
+            k = max(k + 1, nxt[k])
+            continue
+        sx, sy = table[k]
+        m, r = divmod(gap, sy)
+        if r:
+            chain = None
+            break
+        chain.append((k, m))
+        cx += m * sx
+        cy += m * sy
+        k += 1
+
+    for m1 in range(X[2], min(T, wx) + 1):
         stack = [(2, wx - m1, wy, ((1, m1),) if m1 else ())]
         while stack:
             k, rx, ry, picks = stack.pop()
@@ -258,6 +302,11 @@ def _ladder_leaves(
                 stack.append(
                     (k + 1, rx - m * sx, ry - m * sy, picks + ((k, m),) if m else picks)
                 )
+
+    if chain is not None:
+        tail = tuple(chain)
+        for m1 in range(T + 1, wx - cx + 1):
+            yield ((1, m1),) + tail, wx - m1 - cx, wy - cy
 
 
 def _delta_candidates(
@@ -316,7 +365,11 @@ def _dfs_completions(known: LusztigDatum) -> list[LusztigDatum]:
     the positive slope s (root.b on the high ladder, root.a on the low
     one).  Written as max(c, s*m - gap) == 0, the condition allows no m
     when c > 0 or gap < 0, every m in 0..gap//s when c == 0, and only
-    m = gap/s when c < 0: one divmod, no filtering.
+    m = gap/s when c < 0: one divmod, no filtering.  Index 1 has no
+    condition, and its multiplicity enters only c, so past a threshold
+    every later index is a point: those index-1 values share one forced
+    chain, found in one pass, and only the values up to the threshold
+    are walked (`_ladder_leaves`).
 
     The low ladder never reads the high choices, so each ladder is
     searched once, both bounded by the weight.  The high leaves are

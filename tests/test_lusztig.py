@@ -43,10 +43,10 @@ from affmv.roots import (
     RootVector,
     delta,
     length_ratio,
-    positive_real_roots,
     simple_reflection,
 )
 from conftest import KINDS, SMALL_BOX, reference_left_datum, reference_right_datum
+from real_roots import positive_real_roots
 
 
 @lru_cache(maxsize=None)

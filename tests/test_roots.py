@@ -25,18 +25,17 @@ from affmv.roots import (
     beta,
     cartan_pair,
     delta,
-    delta_multiple,
     ladder_root,
     ladder_table,
     lean,
     length_ratio,
     max_real_index,
-    positive_real_roots,
     root_label,
     simple_reflection,
     symmetrized_form,
 )
 from conftest import KINDS, SMALL_BOX
+from real_roots import delta_multiple, positive_real_roots
 
 BOX = {
     Algebra.SL2_HAT: RootVector(8, 8),

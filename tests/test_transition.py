@@ -6,8 +6,14 @@ the map on every enumerated datum.  Hypothesis properties carry the
 involution and the side symmetry of the MV verdict to random data past
 those boxes, and a few data with a ladder index or a part in the
 thousands pin the search's independence from the recursion limit.
+The index-1 solve is checked leaf for leaf against one walk per
+multiplicity, DFS partners of seeded data up to height 300 are pinned
+by a digest, and single roots far up a ladder complete to their closed
+form.
 """
 
+import hashlib
+import json
 import random
 import tracemalloc
 
@@ -16,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affmv.crystal import _bump, crystal_graph, e, eps, eps_star, f, phi, phi_star
+from affmv.documents import datum_to_obj
 from affmv.lusztig import (
     LusztigDatum,
     RealEntry,
@@ -26,11 +33,28 @@ from affmv.lusztig import (
     trapezoid_datum,
     twist_tau,
 )
-from affmv.polytope import DecoratedPolytope, is_mv
-from affmv.roots import FAMILIES, HIGH, LOW, Algebra, RootVector, beta, delta
+from affmv.polytope import (
+    DecoratedPolytope,
+    is_mv,
+    path_prefixes,
+    weight_truncation_index,
+)
+from affmv.roots import (
+    FAMILIES,
+    HIGH,
+    LOW,
+    Algebra,
+    RootVector,
+    beta,
+    delta,
+    ladder_root,
+    ladder_table,
+)
 from affmv.transition import (
     DFS,
     ORACLE,
+    _ladder_leaves,
+    _next_support,
     _oracle_completions,
     clear_cache,
     complete_from_left,
@@ -307,6 +331,132 @@ class TestInvolutionProperties:
             # Kashiwara-Saito condition (iii): the merge level is one
             # number, read from either side, and never negative.
             assert eps(i, b) + phi_star(i, b) == eps_star(i, b) + phi(i, b) >= 0
+
+
+def _reference_leaves(table, X, Y, nxt, wx, wy):
+    """`_ladder_leaves` as one stack walk per index-1 multiplicity m1.
+
+    Every m1 in X[2]..wx is walked through indices 2..K, including those
+    past the threshold T that `_ladder_leaves` yields from its forced
+    chain without a walk.
+    """
+    K = len(table) - 1
+    for m1 in range(X[2], wx + 1):
+        stack = [(2, wx - m1, wy, ((1, m1),) if m1 else ())]
+        while stack:
+            k, rx, ry, picks = stack.pop()
+            if k > K:
+                yield picks, rx, ry
+                continue
+            c = X[k] - (wx - rx)
+            gap = Y[k - 1] - (wy - ry)
+            if c > 0 or gap < 0:
+                continue
+            if gap == 0:
+                stack.append((max(k + 1, nxt[k]), rx, ry, picks))
+                continue
+            sx, sy = table[k]
+            q, r = divmod(gap, sy)
+            top = min(q, rx // sx, ry // sy)
+            if c < 0 and (r or q != top):
+                continue
+            for m in range(top, -1, -1) if c == 0 else (top,):
+                stack.append(
+                    (k + 1, rx - m * sx, ry - m * sy, picks + ((k, m),) if m else picks)
+                )
+
+
+def ladder_inputs(known, family):
+    """The arguments `_dfs_completions` gives `_ladder_leaves` for the
+    unknown datum's `family` ladder."""
+    kind, w = known.kind, known.weight
+    K = weight_truncation_index(kind, w)
+    kp = path_prefixes(known, K)
+    if family == HIGH:
+        return (
+            ladder_table(kind, HIGH, K),
+            kp.low_a,
+            kp.low_b,
+            _next_support(known, LOW, K),
+            w.a,
+            w.b,
+        )
+    return (
+        [(b, a) for a, b in ladder_table(kind, LOW, K)],
+        kp.high_b,
+        kp.high_a,
+        _next_support(known, HIGH, K),
+        w.b,
+        w.a,
+    )
+
+
+def seeded_datum(rng, kind):
+    """A datum of height 5..300: a few entries at ladder indices 2..12
+    and parts, the rest of the height on the two simple roots."""
+    height = rng.randint(5, 300)
+    real = {}
+    used = 0
+    for _ in range(rng.randint(0, 5)):
+        family, k, mult = rng.choice(FAMILIES), rng.randint(2, 12), rng.randint(1, 4)
+        cost = mult * _height(beta(kind, family, k))
+        if used + cost <= height:
+            real[(family, k)] = real.get((family, k), 0) + mult
+            used += cost
+    parts = []
+    for _ in range(rng.randint(0, 3)):
+        part = rng.randint(1, 12)
+        cost = part * _height(delta(kind))
+        if used + cost <= height:
+            parts.append(part)
+            used += cost
+    low = rng.randint(0, height - used)
+    for family, mult in ((LOW, low), (HIGH, height - used - low)):
+        if mult:
+            real[(family, 1)] = mult
+    return datum(kind, real, parts)
+
+
+class TestForcedChain:
+    """The one-pass index-1 solve of `_ladder_leaves`."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(deadline=None, max_examples=25)
+    @given(st.data())
+    def test_leaves_equal_the_per_m1_walk(self, kind, family, data):
+        known = data.draw(bounded_data(kind, max_height=300))
+        args = ladder_inputs(known, family)
+        assert sorted(_ladder_leaves(*args)) == sorted(_reference_leaves(*args))
+
+    def test_partners_are_pinned(self):
+        """DFS partners of 100 seeded data per algebra, from both sides,
+        recorded with the per-m1 walk."""
+        digest = hashlib.sha256()
+        for kind in KINDS:
+            rng = random.Random(1414)
+            for _ in range(100):
+                d = seeded_datum(rng, kind)
+                clear_cache()
+                partners = (complete_from_left(d).right, complete_from_right(d).left)
+                for partner in partners:
+                    digest.update(json.dumps(datum_to_obj(partner)).encode())
+        assert (
+            digest.hexdigest()
+            == "c70086a7e2ff90647cf1196b3ba8d50403bd39149e91f45e6ccc033bbc542216"
+        )
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_single_root_closed_form(self, kind, family):
+        """T({(f, k): m}) puts m*b on alpha1 and m*a on alpha0, where
+        (a, b) is the root at k."""
+        for k in (2, 3, 7, 50, 301, 2000):
+            a, b = ladder_root(kind, family, k)
+            for m in (1, 3):
+                assert transition_l_to_r(datum(kind, {(family, k): m})) == datum(
+                    kind, {(LOW, 1): m * b, (HIGH, 1): m * a}
+                )
 
 
 def assert_matches_validated(d):

@@ -8,10 +8,13 @@ there is linear in the one multiplicity being chosen, so it yields no
 value, one value or an interval directly.  The two ladders of the
 unknown datum are searched once each, iteratively, and joined on the
 weight they leave over, which must be a multiple of delta; runs of
-indices where the condition forces zero are skipped in one step, and
-the index-1 multiplicities past the point where every later index is
-forced share one chain, computed once per ladder.  The leftover closes
-off with the handful of partitions the vertical-edge condition allows.
+indices where the condition forces zero are skipped in one step.  The
+index-1 multiplicity enters only one term of the condition, so one pass
+per ladder follows the chain every later index forces: only the values
+where that chain reaches a new threshold are searched, each from there,
+and every value past the last threshold is one interval, which the join
+solves for.  The leftover closes off with the handful of partitions the
+vertical-edge condition allows.
 Both solvers assert that exactly one completion exists and abort loudly
 if the search ever contradicts that.
 
@@ -26,13 +29,15 @@ conditions is symmetric in the partitions.  So the partner of a left
 datum is the partner of the same datum placed on the right, and one
 search (the unknown datum on the left) serves both sides.
 
-Results are memoized per (solver, datum); entries are immutable, so the
-cache behaves as a pure function table.
+Results are memoized per (solver, datum), up to `_CACHE_SIZE` entries,
+the oldest dropped first; entries are immutable, so the cache behaves as
+a pure function table.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from itertools import chain
+from typing import Iterator
 
 from .lusztig import (
     LusztigDatum,
@@ -60,8 +65,9 @@ from .roots import (
     LOW,
     Algebra,
     RootVector,
-    ladder_table,
+    ladder_root,
     lean,
+    length_ratio,
 )
 
 __all__ = [
@@ -93,6 +99,8 @@ class MultipleCompletionsError(SolverInvariantError):
 
 
 _CACHE: dict[tuple[str, LusztigDatum], LusztigDatum] = {}
+# Most entries `_CACHE` holds; past it the oldest entry is dropped.
+_CACHE_SIZE = 1 << 14
 
 
 def clear_cache() -> None:
@@ -133,6 +141,8 @@ def _partner(known: LusztigDatum, solver: str) -> LusztigDatum:
         raise NoCompletionError(f"no completion of the datum {known}")
     if len(found) > 1:
         raise MultipleCompletionsError(f"{len(found)} completions of the datum {known}")
+    if len(_CACHE) >= _CACHE_SIZE:
+        del _CACHE[next(iter(_CACHE))]
     _CACHE[key] = found[0]
     return found[0]
 
@@ -196,6 +206,10 @@ def _oracle_completions(known: LusztigDatum) -> tuple[list[LusztigDatum], int]:
 
 
 _Picks = tuple[tuple[int, int], ...]
+# (picks, lo, hi, rx, ry): for each index-1 multiplicity m1 in lo..hi, the
+# choice of m1 at index 1 and the nonzero (k, m) of picks, ascending in
+# k >= 2, which leaves (rx - m1, ry) of the weight.
+_Leaf = tuple[_Picks, int, int, int, int]
 
 
 def _next_support(d: LusztigDatum, family: str, K: int) -> list[int]:
@@ -211,102 +225,136 @@ def _next_support(d: LusztigDatum, family: str, K: int) -> list[int]:
 
 
 def _ladder_leaves(
-    table: Sequence[tuple[int, int]],
+    kind: Algebra,
+    family: str,
     X: tuple[int, ...],
     Y: tuple[int, ...],
     nxt: list[int],
     wx: int,
     wy: int,
-) -> Iterator[tuple[_Picks, int, int]]:
+) -> Iterator[_Leaf]:
     """The choices on one ladder of the unknown datum that pass its MV condition.
 
     A choice passes when it meets the condition at every index 2..K and
     fits under the weight (wx, wy).  Coordinates are (x, y): (a, b) for
     the high ladder, (b, a) for the low one, so that both conditions read
     max(Uy[k] - Y[k-1], X[k] - Ux[k-1]) == 0, where U are the prefix sums
-    of the unknown ladder, table[k] its k-th root, and X, Y the prefix
-    sums of the known datum on the paired ladder: the half-path pairing
-    that `mv_violations` checks with `polytope._half_path_defect`.
-    Yields (picks, rx, ry): the nonzero multiplicities as (k, m) pairs in
-    ascending k, and the weight left over.
+    of the unknown datum's `family` ladder and X, Y those of the known
+    datum on the paired ladder: the half-path pairing that
+    `mv_violations` checks with `polytope._half_path_defect`.  Roots are
+    read with `roots.ladder_root` at the indices the search visits.
+    Yields `_Leaf`s: the walked choices as points (lo == hi), and at
+    most one interval, the forced tail below.
 
     Index 1 is (1, 0) in both coordinate systems and has no condition of
-    its own; the c term at index 2 is X[2] - m1, so m1 starts at X[2].
-    Write (cx, cy) for the weight the picks at 2..k-1 use.  Then
+    its own.  Write (cx, cy) for the weight the picks at 2..k-1 use.  Then
     c = X[k] - (m1 + cx) and gap = Y[k-1] - cy at index k: m1 enters c
-    and never gap.  So one pass over k = 2..K, before any m1 is tried,
-    follows the forced chain, the picks every step makes while c < 0,
-    and finds the threshold T = max over its indices of X[k] - cx:
+    and never gap.  Every pick keeps cy <= Y[k-1] (a point sets it equal,
+    an interval stays below), so the gap is never negative, and it is at
+    most ry because Y[k-1] <= wy: the search tests neither gap < 0 nor
+    m*s <= ry.
 
-    - For m1 > T, c < 0 at every index, by induction along the chain:
-      the picks before k are the chain's, so cx is the chain's, and
-      X[k] - (m1 + cx) < X[k] - cx - T <= 0.  Each step is then the
-      point m = gap/s, the same for every such m1.  When gap % s != 0
-      at some k the point does not exist, the pass stops there, and no
-      m1 > T survives.  The gap is never negative on the chain: it is
-      the known datum's y step at k-1, the chain having matched Y[k-2].
-    - A zero gap gives m = 0 in the chain and is skipped to nxt[k],
-      exactly as the per-m1 walk below skips it; c and the gap do not
-      move across the skipped indices, so T gains nothing there.
-    - The weight used grows along the chain, so every step fits exactly
-      when the last does.  The chain ends with cy <= Y[K], which the
-      known datum's own ladder uses, so cy <= wy always; the cap
-      m1 + cx <= wx tightens as m1 grows, so the surviving m1 > T are
-      the one interval T+1 .. wx - cx, each yielded with no walk at all.
+    One pass over k = 2..K, before any m1 is tried, follows the forced
+    chain, the picks every step makes while c < 0 (the point m = gap/s),
+    and records t_k = X[k] - cx at each index it visits, cx being the
+    chain's use before k.  It stops at the first k where gap % s != 0:
+    there the point does not exist.  Let T be the largest t_k.
 
-    Only m1 in X[2]..min(T, wx) is walked.  Each such m1 gets its own
-    stack, so memory stays bounded however many values it takes.
+    - The walk for a given m1 follows the chain while t_k < m1, since
+      each step is then the chain's point.  At the first k with
+      t_k >= m1, c > 0 prunes it unless t_k == m1.  So the only m1 that
+      survive up to T are the records of t (values above every earlier
+      t_k), and each one's stack starts at its record index, from the
+      chain's state and picks there.  The start fits under wx, because
+      m1 + cx = X[k] <= wx, and the chain's use only grows, so every
+      earlier step of the chain fits too.
+    - For m1 > T, c < 0 at every index, so the walk is the whole chain;
+      if the chain stopped, no such m1 survives.  Otherwise the cap
+      m1 + cx <= wx, with cx the whole chain's use, leaves the one
+      interval T+1 .. wx - cx, yielded as one leaf with no walk.  The
+      chain ends with cy <= Y[K], which the known datum's own ladder
+      uses, so cy <= wy always.
+    - A zero gap allows only m = 0.  If the known datum has no entry at
+      k on the paired ladder, then at k+1 the gap is still 0 and c is
+      unchanged (c moves only with the known entry at k+1), so m = 0
+      stays forced until the known datum's next support index nxt[k].
+      The chain and the walks jump there; t makes no record on the way.
+    - The same holds for a walk node with c == 0 where no root fits
+      under (rx, gap): up to nxt[k], c and the gap do not move.  Along
+      each run of a ladder (every k for sl2hat, the odd and the even k
+      for a2(2)) both coordinates of the root grow, so if neither the
+      root at k nor the one at k+1 fits, none up to nxt[k] does, m = 0
+      is forced and the node jumps to nxt[k].
+
+    Each walked record gets its own stack, so memory stays bounded
+    however large m1 grows.
     """
-    K = len(table) - 1
-    T, cx, cy = X[2], 0, 0
-    chain: list[tuple[int, int]] | None = []
+    K = len(X) - 1
+    swap = family == LOW
+
+    def root(k: int) -> tuple[int, int]:
+        sx, sy = ladder_root(kind, family, k)
+        return (sy, sx) if swap else (sx, sy)
+
+    forced: list[tuple[int, int]] = []
+    starts: list[tuple[int, int, int, int, int]] = []  # (t, k, cx, cy, len(forced))
+    T, cx, cy = -1, 0, 0
+    whole = True
     k = 2
     while k <= K:
-        T = max(T, X[k] - cx)
+        t = X[k] - cx
+        if t > T:
+            T = t
+            starts.append((t, k, cx, cy, len(forced)))
         gap = Y[k - 1] - cy
         if gap == 0:
             k = max(k + 1, nxt[k])
             continue
-        sx, sy = table[k]
+        sx, sy = root(k)
         m, r = divmod(gap, sy)
         if r:
-            chain = None
+            whole = False
             break
-        chain.append((k, m))
+        forced.append((k, m))
         cx += m * sx
         cy += m * sy
         k += 1
 
-    for m1 in range(X[2], min(T, wx) + 1):
-        stack = [(2, wx - m1, wy, ((1, m1),) if m1 else ())]
+    for m1, k, ux, uy, n in starts:
+        stack = [(k, wx - m1 - ux, wy - uy, tuple(forced[:n]))]
         while stack:
             k, rx, ry, picks = stack.pop()
             if k > K:
-                yield picks, rx, ry
+                yield picks, m1, m1, rx + m1, ry
                 continue
             c = X[k] - (wx - rx)
-            gap = Y[k - 1] - (wy - ry)
-            if c > 0 or gap < 0:
+            if c > 0:
                 continue
+            gap = Y[k - 1] - (wy - ry)
             if gap == 0:
-                # m = 0 is forced, and stays forced until the known datum
-                # has an entry again: see _dfs_completions.
                 stack.append((max(k + 1, nxt[k]), rx, ry, picks))
                 continue
-            sx, sy = table[k]
-            q, r = divmod(gap, sy)
-            top = min(q, rx // sx, ry // sy)
-            if c < 0 and (r or q != top):
+            sx, sy = ladder_root(kind, family, k)  # root(k), inlined: once per node
+            if swap:
+                sx, sy = sy, sx
+            if c:
+                q, r = divmod(gap, sy)
+                if not r and q * sx <= rx:
+                    stack.append((k + 1, rx - q * sx, ry - gap, picks + ((k, q),)))
                 continue
-            for m in range(top, -1, -1) if c == 0 else (top,):
+            top = min(gap // sy, rx // sx)
+            if top == 0 and nxt[k] > k + 1:
+                ax, ay = root(k + 1)
+                if ax > rx or ay > gap:
+                    stack.append((nxt[k], rx, ry, picks))
+                    continue
+            for m in range(top, -1, -1):
                 stack.append(
                     (k + 1, rx - m * sx, ry - m * sy, picks + ((k, m),) if m else picks)
                 )
 
-    if chain is not None:
-        tail = tuple(chain)
-        for m1 in range(T + 1, wx - cx + 1):
-            yield ((1, m1),) + tail, wx - m1 - cx, wy - cy
+    if whole and T < wx - cx:
+        yield tuple(forced), T + 1, wx - cx, wx - cx, wy - cy
 
 
 def _delta_candidates(
@@ -337,20 +385,26 @@ def _delta_candidates(
 
 def _assemble(
     kind: Algebra,
+    low_m1: int,
     low_picks: _Picks,
+    high_m1: int,
     high_picks: _Picks,
     parts: Partition,
     w: RootVector,
 ) -> LusztigDatum:
     """The candidate datum of one join in `_dfs_completions`, of weight w.
 
-    Its weight is w by construction: the low picks use u, the high picks
-    use w - r, the join makes r - u = n*delta, and the parts sum to n,
-    so the total is u + (w - r) + n*delta = w.  The picks are nonzero
-    and ascending in k, and the parts a partition, so the datum is built
-    with `_derived`.
+    Each ladder is its index-1 multiplicity and its picks at k >= 2.
+    Its weight is w by construction: the low ladder uses u, the high
+    ladder uses w - r, the join makes r - u = n*delta, and the parts sum
+    to n, so the total is u + (w - r) + n*delta = w.  The picks are
+    nonzero and ascending in k, and the parts a partition, so the datum
+    is built with `_derived`.
     """
-    real = [RealEntry(LOW, k, m) for k, m in low_picks]
+    real = [RealEntry(LOW, 1, low_m1)] if low_m1 else []
+    real += [RealEntry(LOW, k, m) for k, m in low_picks]
+    if high_m1:
+        real.append(RealEntry(HIGH, 1, high_m1))
     real += [RealEntry(HIGH, k, m) for k, m in high_picks]
     return _derived(kind, tuple(real), parts, w)
 
@@ -364,69 +418,76 @@ def _dfs_completions(known: LusztigDatum) -> list[LusztigDatum]:
     one term depends on the multiplicity m being chosen, linearly with
     the positive slope s (root.b on the high ladder, root.a on the low
     one).  Written as max(c, s*m - gap) == 0, the condition allows no m
-    when c > 0 or gap < 0, every m in 0..gap//s when c == 0, and only
-    m = gap/s when c < 0: one divmod, no filtering.  Index 1 has no
-    condition, and its multiplicity enters only c, so past a threshold
-    every later index is a point: those index-1 values share one forced
-    chain, found in one pass, and only the values up to the threshold
-    are walked (`_ladder_leaves`).
+    when c > 0, every m in 0..gap//s when c == 0, and only m = gap/s
+    when c < 0: one divmod, no filtering.  Index 1 has no condition, and
+    its multiplicity m1 enters only c, so the search walks only the m1
+    where the forced chain reaches a new threshold, starting there, and
+    yields every m1 past the last threshold as one interval leaf; runs
+    of indices where m = 0 is forced are jumped (`_ladder_leaves`).
 
     The low ladder never reads the high choices, so each ladder is
-    searched once, both bounded by the weight.  The high leaves are
-    tabled by the lean of their residual r, and each low leaf, whose
-    used weight is u, joins those with the lean of u; then r - u is
-    n*delta, and n >= 0 is the last requirement.  The low leaves are
-    streamed, so a heavy alpha1 costs time but no memory.  The leftover
-    admits at most three candidate partitions.
-
-    When gap == 0 only m = 0 is allowed.  If the known datum has no
-    entry at k on the paired ladder, then at k+1 the gap is still 0 and
-    c is unchanged (c moves only with the known entry at k+1), so m = 0
-    stays forced until the known datum's next support index, where the
-    search resumes; with none left the choice is complete.
+    searched once, both bounded by the weight.  A high leaf leaves
+    r = (ra - m1, rb), and a low leaf uses u = (ua, ub + m1); they join
+    when r - u is n*delta with n >= 0.  Since delta = (1, ratio), with
+    ratio = `roots.length_ratio`, that is lean(r) == lean(u), where a
+    unit of the high m1 raises lean(r) by ratio and a unit of the low m1
+    raises lean(u) by 1, so the low m1 is base + ratio * (high m1), and
+    n = ra - m1 - ua >= 0 caps the high m1.  Cut to both leaves' ranges,
+    that is a range of the high m1: a divmod and a range test for a
+    point against an interval, a progression for two intervals.  High
+    points are tabled by lean; a low point joins those with its lean and
+    the high interval, and the low interval joins every high leaf.  The
+    low leaves are streamed, so a heavy alpha1 costs no memory.  The
+    leftover admits at most three candidate partitions.
 
     Every assembled pair still runs the full MV check, so solving and
     skipping only ever affect speed, not the answer.
     """
     kind = known.kind
     w = known.weight
+    ratio = length_ratio(kind)
     K = weight_truncation_index(kind, w)
     kp = path_prefixes(known, K)
     high = _ladder_leaves(
-        ladder_table(kind, HIGH, K),
-        kp.low_a,
-        kp.low_b,
-        _next_support(known, LOW, K),
-        w.a,
-        w.b,
+        kind, HIGH, kp.low_a, kp.low_b, _next_support(known, LOW, K), w.a, w.b
     )
     low = _ladder_leaves(
-        [(b, a) for a, b in ladder_table(kind, LOW, K)],
-        kp.high_b,
-        kp.high_a,
-        _next_support(known, HIGH, K),
-        w.b,
-        w.a,
+        kind, LOW, kp.high_b, kp.high_a, _next_support(known, HIGH, K), w.b, w.a
     )
-    # Low-ladder weights lean >= 0, so no other high residual can join;
-    # dropping those keeps the table small when alpha0 is heavy.
-    by_lean: dict[int, list[tuple[_Picks, int, int]]] = {}
-    for picks, ra, rb in high:
-        r_lean = lean(kind, ra, rb)
-        if r_lean >= 0:
-            by_lean.setdefault(r_lean, []).append((picks, ra, rb))
+    # Low-ladder weights lean >= 0, so no high point with a residual of
+    # negative lean can join; dropping those keeps the table small when
+    # alpha0 is heavy.
+    by_lean: dict[int, list[_Leaf]] = {}
+    spans: list[_Leaf] = []
+    for leaf in high:
+        _, lo, hi, ra, rb = leaf
+        r_lean = lean(kind, ra - lo, rb)
+        if lo < hi:
+            spans.append(leaf)
+        elif r_lean >= 0:
+            by_lean.setdefault(r_lean, []).append(leaf)
 
     sols: list[LusztigDatum] = []
-    for low_picks, rb, ra in low:
+    for low_picks, lo, hi, rb, ra in low:
         ua, ub = w.a - ra, w.b - rb
-        for high_picks, ha, hb in by_lean.get(lean(kind, ua, ub), ()):
-            n = ha - ua  # r - u == n*delta, and delta has a == 1
-            if n < 0:
-                continue
-            d1 = RootVector(kp.low_a[K] - (w.a - ha), kp.low_b[K] - (w.b - hb))
-            for parts in _delta_candidates(kind, known.delta, n, d1):
-                cand = _assemble(kind, low_picks, high_picks, parts, w)
-                cp = path_prefixes(cand, K)
-                if not mv_violations(kind, cp, kp, parts, known.delta, True):
-                    sols.append(cand)
+        if lo == hi:
+            partners = chain(by_lean.get(lean(kind, ua, ub + lo), ()), spans)
+        else:
+            partners = chain(*by_lean.values(), spans)
+        for high_picks, hlo, hhi, ha, hb in partners:
+            # lean(r) == lean(u) makes the low m1 base + ratio * m1 for the
+            # high m1; both stay in their leaf's range, and n >= 0.
+            base = hb - ub - ratio * (ha - ua)
+            first = max(hlo, -((base - lo) // ratio))
+            last = min(hhi, ha - ua, (hi - base) // ratio)
+            for m1 in range(first, last + 1):
+                n = ha - m1 - ua  # r - u == n*delta, and delta has a == 1
+                d1 = RootVector(kp.low_a[K] - (w.a - ha + m1), kp.low_b[K] - (w.b - hb))
+                for parts in _delta_candidates(kind, known.delta, n, d1):
+                    cand = _assemble(
+                        kind, base + ratio * m1, low_picks, m1, high_picks, parts, w
+                    )
+                    cp = path_prefixes(cand, K)
+                    if not mv_violations(kind, cp, kp, parts, known.delta, True):
+                        sols.append(cand)
     return sols

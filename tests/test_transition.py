@@ -8,8 +8,8 @@ those boxes, and a few data with a ladder index or a part in the
 thousands pin the search's independence from the recursion limit.
 The index-1 solve is checked leaf for leaf against one walk per
 multiplicity, DFS partners of seeded data up to height 300 are pinned
-by a digest, and single roots far up a ladder complete to their closed
-form.
+by a digest, and single roots far up a ladder and delta=[20000] complete
+to their closed forms.  The completion cache stays within its bound.
 """
 
 import hashlib
@@ -50,9 +50,11 @@ from affmv.roots import (
     ladder_root,
     ladder_table,
 )
+from affmv import transition
 from affmv.transition import (
     DFS,
     ORACLE,
+    _CACHE,
     _ladder_leaves,
     _next_support,
     _oracle_completions,
@@ -228,6 +230,14 @@ class TestLargeData:
         P = complete_from_right(datum(sl2, delta_parts=(1000,)))
         assert P.left == trapezoid_datum(sl2, (1000,))
 
+    @pytest.mark.parametrize("lam", ((20000,), (20000, 3, 1)), ids=("n", "n-3-1"))
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_large_imaginary_data_complete_to_trapezoids(self, kind, lam):
+        """Both ladders' forced tails are intervals, joined as two."""
+        assert transition_l_to_r(datum(kind, delta_parts=lam)) == trapezoid_datum(
+            kind, lam
+        )
+
 
 class TestPlumbing:
     def test_unknown_solver_is_rejected(self):
@@ -240,6 +250,18 @@ class TestPlumbing:
         clear_cache()
         fresh = transition_l_to_r(reference_right)
         assert first == again == fresh
+
+    def test_cache_is_bounded_and_drops_the_oldest_first(self, monkeypatch):
+        data = [datum(Algebra.SL2_HAT, {(LOW, 1): m, (HIGH, 2): 1}) for m in range(12)]
+        clear_cache()
+        partners = [transition_l_to_r(d) for d in data]
+        clear_cache()
+        monkeypatch.setattr(transition, "_CACHE_SIZE", 5)
+        for _ in range(2):
+            for d, partner in zip(data, partners):
+                assert transition_l_to_r(d) == partner
+                assert len(_CACHE) <= 5
+            assert [known for _, known in _CACHE] == data[-5:]
 
     def test_zero_datum_completes_to_itself(self):
         for kind in KINDS:
@@ -373,22 +395,25 @@ def ladder_inputs(known, family):
     K = weight_truncation_index(kind, w)
     kp = path_prefixes(known, K)
     if family == HIGH:
-        return (
-            ladder_table(kind, HIGH, K),
-            kp.low_a,
-            kp.low_b,
-            _next_support(known, LOW, K),
-            w.a,
-            w.b,
-        )
-    return (
-        [(b, a) for a, b in ladder_table(kind, LOW, K)],
-        kp.high_b,
-        kp.high_a,
-        _next_support(known, HIGH, K),
-        w.b,
-        w.a,
-    )
+        return (kind, HIGH, kp.low_a, kp.low_b, _next_support(known, LOW, K), w.a, w.b)
+    return (kind, LOW, kp.high_b, kp.high_a, _next_support(known, HIGH, K), w.b, w.a)
+
+
+def reference_inputs(kind, family, X, Y, nxt, wx, wy):
+    """The same ladder as `_reference_leaves` reads it: a table of its
+    roots in (x, y) coordinates, (b, a) on the low ladder."""
+    table = ladder_table(kind, family, len(X) - 1)
+    if family == LOW:
+        table = [(b, a) for a, b in table]
+    return table, X, Y, nxt, wx, wy
+
+
+def expanded(leaves):
+    """Every choice of `_ladder_leaves`' leaves as (picks, rx, ry), index 1
+    included, as `_reference_leaves` yields them."""
+    for picks, lo, hi, rx, ry in leaves:
+        for m1 in range(lo, hi + 1):
+            yield ((1, m1),) + picks if m1 else picks, rx - m1, ry
 
 
 def seeded_datum(rng, kind):
@@ -427,7 +452,9 @@ class TestForcedChain:
     def test_leaves_equal_the_per_m1_walk(self, kind, family, data):
         known = data.draw(bounded_data(kind, max_height=300))
         args = ladder_inputs(known, family)
-        assert sorted(_ladder_leaves(*args)) == sorted(_reference_leaves(*args))
+        assert sorted(expanded(_ladder_leaves(*args))) == sorted(
+            _reference_leaves(*reference_inputs(*args))
+        )
 
     def test_partners_are_pinned(self):
         """DFS partners of 100 seeded data per algebra, from both sides,

@@ -321,6 +321,19 @@ class TestGraphAndRender:
         _, second, _ = run(capsys, "graph", "--kind", "a2(2)", "--depth", "2")
         assert first == second
 
+    @pytest.mark.parametrize(
+        "kind, depth, digest",
+        [
+            ("sl2hat", "10", "da5dddfc04aca768f2b2c308a1198cbdf364dd48377bd0655a168056bff49424"),
+            ("a2(2)", "8", "43bfb1e17b2f60d12d62b25ba27deb49aa95c6f5bf83f73ecaf65865620f149e"),
+        ],
+    )
+    def test_graph_output_is_frozen(self, capsys, kind, depth, digest):
+        """Frozen sha256 of the DOT output: node order and every edge."""
+        code, out, err = run(capsys, "graph", "--kind", kind, "--depth", depth)
+        assert (code, err) == (cli.EXIT_OK, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_render_svg_from_a_bare_datum(self, capsys, tmp_path):
         path = write_doc(
             tmp_path,

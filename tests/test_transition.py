@@ -9,7 +9,8 @@ thousands pin the search's independence from the recursion limit.
 The index-1 solve is checked leaf for leaf against one walk per
 multiplicity, DFS partners of seeded data up to height 300 are pinned
 by a digest, and single roots far up a ladder and delta=[20000] complete
-to their closed forms.  The completion cache stays within its bound.
+to their closed forms; the interval join of delta=[10^5] tries only the
+few values that can pass.  The completion cache stays within its bound.
 """
 
 import hashlib
@@ -55,6 +56,8 @@ from affmv.transition import (
     DFS,
     ORACLE,
     _CACHE,
+    _delta_candidates,
+    _edge_points,
     _ladder_leaves,
     _next_support,
     _oracle_completions,
@@ -238,6 +241,47 @@ class TestLargeData:
             kind, lam
         )
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_the_interval_join_tries_a_few_points(self, kind, monkeypatch):
+        """delta=[10^5] joins two forced-tail intervals along a progression
+        of 10^5 + 1 values of m1; only the few where the vertical-edge
+        condition can pass get `_delta_candidates`."""
+        calls = []
+        counted = transition._delta_candidates
+
+        def counting(*args):
+            calls.append(args)
+            return counted(*args)
+
+        monkeypatch.setattr(transition, "_delta_candidates", counting)
+        clear_cache()
+        lam = (10**5,)
+        assert transition_l_to_r(datum(kind, delta_parts=lam)) == trapezoid_datum(
+            kind, lam
+        )
+        assert len(calls) < 10
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_edge_points_keep_every_passing_m1(self, kind):
+        """On seeded progressions, the m1 where `_delta_candidates` returns
+        partitions are among `_edge_points`, with the same partitions."""
+        rng = random.Random(16)
+        for _ in range(300):
+            parts = (rng.randint(1, 6) for _ in range(rng.randint(0, 4)))
+            lam = tuple(sorted(parts, reverse=True))
+            lo = rng.randint(0, 5)
+            hi = lo + rng.randint(1, 30)
+            n = rng.randint(hi - lo, hi - lo + 20)  # n >= 0 over lo..hi
+            d1 = RootVector(rng.randint(-10, 30), rng.randint(-10, 30))
+
+            def at(m1):
+                t = m1 - lo
+                return _delta_candidates(kind, lam, n - t, RootVector(d1.a - t, d1.b))
+
+            every = [(m1, at(m1)) for m1 in range(lo, hi + 1)]
+            points = [(m1, at(m1)) for m1 in _edge_points(kind, lam, lo, hi, n, d1)]
+            assert [p for p in points if p[1]] == [p for p in every if p[1]]
+
 
 class TestPlumbing:
     def test_unknown_solver_is_rejected(self):
@@ -416,10 +460,10 @@ def expanded(leaves):
             yield ((1, m1),) + picks if m1 else picks, rx - m1, ry
 
 
-def seeded_datum(rng, kind):
-    """A datum of height 5..300: a few entries at ladder indices 2..12
+def seeded_datum(rng, kind, top=300):
+    """A datum of height 5..top: a few entries at ladder indices 2..12
     and parts, the rest of the height on the two simple roots."""
-    height = rng.randint(5, 300)
+    height = rng.randint(5, top)
     real = {}
     used = 0
     for _ in range(rng.randint(0, 5)):

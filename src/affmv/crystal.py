@@ -3,15 +3,12 @@
 An element is a decorated polytope; its two Lusztig data stay
 synchronized through the transition map.  Raising and lowering
 operators touch the multiplicity of one extreme root on one side and
-re-complete the other side locally (`transition._recomplete`): a short,
-ordered list of small moves around the old partner, each checked with
-the full MV conditions against the bumped datum, with the DFS as the
-fallback.  The MV partner of a datum is unique, so the first move that
-passes is the partner.  Each starred operator is its plain one
-conjugated by the Kashiwara involution `star`, which exchanges the
-sides, so it re-completes the same way.  Reflections are realized by
-twisting the datum whose extreme multiplicity vanishes and re-completing
-with the DFS.
+re-complete the other side; each starred operator is its plain one
+conjugated by the Kashiwara involution `star`, which exchanges the sides.
+The transition layer caches each solve both ways, so e_i and e_i*
+reaching one polytope from its two sides solve it once.
+Reflections are realized by twisting the datum whose extreme
+multiplicity vanishes and re-completing.
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ from .lusztig import (
 from .polytope import DecoratedPolytope, _pair
 from .roots import ALPHA0, ALPHA1, HIGH, LOW, ZERO, Algebra, RootVector, cartan_pair
 from .roots import _check_node
-from .transition import _recomplete, complete_from_left, complete_from_right
+from .transition import complete_from_left, complete_from_right
 
 __all__ = [
     "CrystalGraph",
@@ -76,35 +73,25 @@ def _bump(d: LusztigDatum, family: str, by: int) -> LusztigDatum:
         raise ValueError(f"multiplicity must be an integer >= 1, got {mult!r}")
     entry = (RealEntry(family, 1, mult),) if mult else ()
     rest = real[at + 1 :] if held else real[at:]
-    w = d.weight  # alpha0 = (1, 0), alpha1 = (0, 1)
-    w = RootVector(w.a + by, w.b) if family == HIGH else RootVector(w.a, w.b + by)
-    return _derived(d.kind, real[:at] + entry + rest, d.delta, w)
-
-
-def _step(i: int, b: DecoratedPolytope, by: int) -> DecoratedPolytope:
-    """b with its extreme multiplicity at node i moved by `by`, re-completed.
-
-    The other datum of b is the old partner that `_recomplete` searches
-    around.
-    """
-    if i == 0:
-        known = _bump(b.right, HIGH, by)
-        return _pair(_recomplete(known, b.left), known)
-    known = _bump(b.left, LOW, by)
-    return _pair(known, _recomplete(known, b.right))
+    alpha = ALPHA0 if family == HIGH else ALPHA1
+    return _derived(d.kind, real[:at] + entry + rest, d.delta, d.weight + by * alpha)
 
 
 def e(i: int, b: DecoratedPolytope) -> DecoratedPolytope:
     """Raise along alpha_i: bump one extreme multiplicity, re-complete."""
     _check_node(i)
-    return _step(i, b, 1)
+    if i == 0:
+        return complete_from_right(_bump(b.right, HIGH, 1))
+    return complete_from_left(_bump(b.left, LOW, 1))
 
 
 def f(i: int, b: DecoratedPolytope) -> DecoratedPolytope | None:
     """Lower along alpha_i, or None at the bottom of the string."""
     if phi(i, b) == 0:  # phi checks the node index
         return None
-    return _step(i, b, -1)
+    if i == 0:
+        return complete_from_right(_bump(b.right, HIGH, -1))
+    return complete_from_left(_bump(b.left, LOW, -1))
 
 
 def e_star(i: int, b: DecoratedPolytope) -> DecoratedPolytope:

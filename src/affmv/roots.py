@@ -186,11 +186,7 @@ def beta(kind: Algebra, family: str, k: int) -> RootVector:
 
 def root_label(kind: Algebra, v: RootVector) -> tuple[str, int] | None:
     """Inverse of `beta`: (family, k) if v is a positive real root, else None."""
-    return _root_label(kind, v.a, v.b)
-
-
-def _root_label(kind: Algebra, a: int, b: int) -> tuple[str, int] | None:
-    """`root_label` of (a, b), for callers that hold the coordinates."""
+    a, b = v.a, v.b
     if kind is Algebra.SL2_HAT:
         if a >= 0 and b == a + 1:
             return (LOW, b)

@@ -32,17 +32,15 @@ search (the unknown datum on the left) serves both sides.
 
 Results are memoized per (solver, datum), up to `_CACHE_SIZE` entries,
 the oldest dropped first; entries are immutable, so the cache behaves as
-a pure function table.
-
-The crystal operators move one index-1 multiplicity of a datum whose
-partner they already hold, and `_recomplete` searches near that old
-partner first, falling back to the DFS; see there.
+a pure function table.  Since T is an involution, a solve stores its
+answer both ways, under the datum and under its partner: the crystal
+operators e_i and e_i* reach one polytope from its two sides and solve
+it once.  Checks of the search itself clear the cache or pass `fresh`.
 """
 
 from __future__ import annotations
 
-from itertools import chain, combinations, islice, permutations
-from math import gcd
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .lusztig import (
@@ -57,7 +55,6 @@ from .lusztig import (
 )
 from .polytope import (
     DecoratedPolytope,
-    PathPrefixes,
     _edge_violations,
     _half_path_defect,
     _ladder_prefixes,
@@ -68,17 +65,13 @@ from .polytope import (
     weight_truncation_index,
 )
 from .roots import (
-    FAMILIES,
     HIGH,
     LOW,
     Algebra,
     RootVector,
-    _root_label,
-    delta,
     ladder_root,
     lean,
     length_ratio,
-    max_real_index,
 )
 
 __all__ = [
@@ -137,11 +130,16 @@ def transition_l_to_r(d: LusztigDatum, solver: str = DFS) -> LusztigDatum:
     return _partner(d, solver)
 
 
-def _partner(known: LusztigDatum, solver: str) -> LusztigDatum:
-    key = (solver, known)
-    hit = _CACHE.get(key)
-    if hit is not None:
-        return hit
+def _partner(known: LusztigDatum, solver: str, fresh: bool = False) -> LusztigDatum:
+    """The one completion of `known` by `solver`, from `_CACHE` unless `fresh`.
+
+    `fresh` runs the search even when the answer is cached, for a check
+    of the search itself.
+    """
+    if not fresh:
+        hit = _CACHE.get((solver, known))
+        if hit is not None:
+            return hit
     if solver == ORACLE:
         found, _ = _oracle_completions(known)
     elif solver == DFS:
@@ -152,236 +150,13 @@ def _partner(known: LusztigDatum, solver: str) -> LusztigDatum:
         raise NoCompletionError(f"no completion of the datum {known}")
     if len(found) > 1:
         raise MultipleCompletionsError(f"{len(found)} completions of the datum {known}")
-    return _remember(key, found[0])
-
-
-def _remember(key: tuple[str, LusztigDatum], partner: LusztigDatum) -> LusztigDatum:
-    if len(_CACHE) >= _CACHE_SIZE:
-        del _CACHE[next(iter(_CACHE))]
-    _CACHE[key] = partner
+    partner = found[0]
+    # T is an involution: store the answer under both data.
+    for key, value in (((solver, known), partner), ((solver, partner), known)):
+        if key not in _CACHE and len(_CACHE) >= _CACHE_SIZE:
+            del _CACHE[next(iter(_CACHE))]
+        _CACHE[key] = value
     return partner
-
-
-# Most moves `_recomplete` checks before it falls back to the DFS.
-_MOVES_TRIED = 8
-
-# One move: ((family, k, units), ...) with units < 0 taken from an entry of
-# the old datum and units > 0 put in, and the partition it leaves.
-_Move = tuple[tuple[str, int, int], ...]
-# What `_additions`, `_part` and `_splits` put in: ((family, k), units) per root.
-_Add = tuple[tuple[tuple[str, int], int], ...]
-
-
-def _recomplete(known: LusztigDatum, old: LusztigDatum) -> LusztigDatum:
-    """The partner of `known`, searched first among the neighbours of `old`.
-
-    `known` is one datum of a crystal step, its index-1 multiplicity
-    moved by one, and `old` is its partner before the step.  The first
-    `_MOVES_TRIED` moves of `_moves` are tried in order, each as a datum
-    checked against `known` with the full `mv_violations` (first failure
-    only) on prefixes truncated at the weight's
-    `weight_truncation_index`, as a DFS candidate is.  Every candidate
-    has the weight of `known`, and the MV partner of a datum is unique
-    (the paper's theorem, which `verify uniqueness` checks), so the
-    first candidate that passes is the partner.  When none passes, the
-    DFS solves it, with its exactly-one assertion.
-
-    The answer is stored in `_CACHE` under `known`, and, since T is an
-    involution, under the partner too: the two raising operators that
-    reach one polytope from its two sides (e_i and e_i*) then solve it
-    once.
-    """
-    key = (DFS, known)
-    hit = _CACHE.get(key)
-    if hit is not None:
-        return hit
-    kind = known.kind
-    w = known.weight
-    K = weight_truncation_index(kind, w)
-    kp = path_prefixes(known, K)
-    op = path_prefixes(old, K)
-    for move, parts in islice(_moves(known, old, kp, op), _MOVES_TRIED):
-        cand = _derived(kind, _moved(old.real, move), parts, w)
-        if not mv_violations(kind, path_prefixes(cand, K), kp, parts, known.delta, True):
-            _remember((DFS, cand), known)
-            return _remember(key, cand)
-    return _partner(known, DFS)
-
-
-def _moves(
-    known: LusztigDatum, old: LusztigDatum, kp: PathPrefixes, op: PathPrefixes
-) -> Iterator[tuple[_Move, Partition]]:
-    """Candidates for the partner of `known` near `old`, as moves, likeliest first.
-
-    kp and op are the prefixes of `known` and `old` that `_recomplete`
-    checks on.  The step moved the index-1 multiplicity of `known` by one
-    unit of alpha_i, so the partner has the weight of `old` plus the same
-    unit.  The first move puts that unit on the same root of `old` (or,
-    lowering, takes it away).  The others take a small part R of `old`
-    away and put in a small datum A of weight wt(known) - wt(old) +
-    wt(R), R and A sharing no root and no part (a shared one would repeat
-    a smaller move).  R runs through `_removals`: nothing, one to four
-    units of one entry, one part, one unit each of two entries, and so
-    on.  A comes from `_additions` (units of one real root) for every R,
-    then from `_part` (one part), then from `_splits` (two real roots).
-    For a raise by alpha_1 (alpha_0 mirrors it, lowering negates it)
-    these include:
-
-    - R = 2 (high, 1), A = (high, 2) on sl2hat, and R = (high, 1),
-      A = (high, 2) on a2(2): the commonest move after the first;
-    - R = (high, k) and A a part, or R a part and A a low root: a real
-      root trades with the imaginary decoration;
-    - R = (high, i) + (high, j) and A = (high, i + j) on sl2hat.
-
-    Where `old` first fails against `known` orders and prunes them.  The
-    step moves one coordinate of every prefix of one ladder of `known`,
-    and `mv_violations` pairs that ladder with one ladder L of the
-    partner (high for condition 1, low for condition 2).  If `old` first
-    fails condition 1 or 2 at index k, a candidate that keeps the
-    L-prefixes the check reads there (x at k - 1, y at k) fails the same
-    way, so moves that change no entry of L at or below k are skipped.
-    Measured, the partner takes from the entry at k - 1 when raising and
-    at k when lowering, so R that take from that entry go first.
-
-    Coverage, measured on the distinct e, f, e* and f* steps from every
-    node of sl2hat to depth 12 and a2(2) to depth 10 (4,956 and 1,600):
-    one of the first 8 moves passes on all but 4 and 0, after 1.4 checks
-    on average.  The cache misses of a cold `crystal_graph` of sl2hat to
-    depth 14 and a2(2) to depth 12 never fall back.  Steps from
-    completions of height up to 200, which move several units far up a
-    ladder, fall back about one time in seven.
-    """
-    kind = old.kind
-    real, parts = old.real, old.delta
-    w = known.weight
-    sa, sb = w.a - old.weight.a, w.b - old.weight.b
-    family, by = (HIGH, sa) if sa else (LOW, sb)
-    stale = mv_violations(kind, op, kp, parts, known.delta, True)
-    ladder, k = None, 0
-    if stale and stale[0].k is not None:
-        ladder, k = (HIGH if stale[0].condition == 1 else LOW), stale[0].k
-
-    def fails_as_old(move: _Move) -> bool:
-        return ladder is not None and not any(f == ladder and j <= k for f, j, _ in move)
-
-    labels = [entry[:2] for entry in real]
-    same = ((family, 1, by),)
-    if (by > 0 or (family, 1) in labels) and not fails_as_old(same):
-        yield same, parts
-    roots = [ladder_root(kind, f, j) for f, j in labels]
-    order = list(range(len(real)))
-    anchor = (ladder, k - 1 if by > 0 else k)
-    if anchor in labels:  # that entry first
-        order.insert(0, order.pop(labels.index(anchor)))
-    dv = delta(kind)
-    for more in (_additions, _part, _splits):
-        for cut, part in _removals(real, order, parts):
-            a, b = sa + part * dv.a, sb + part * dv.b
-            for i, units in cut:
-                ra, rb = roots[i]
-                a += units * ra
-                b += units * rb
-            for add, new_part in more(kind, a, b):
-                if new_part and new_part == part:
-                    continue
-                if cut and any(labels[i] == label for i, _ in cut for label, _ in add):
-                    continue
-                move = (
-                    *[(*labels[i], -units) for i, units in cut],
-                    *[(*label, units) for label, units in add],
-                )
-                if (move == same and not part and not new_part) or fails_as_old(move):
-                    continue
-                moved = remove_part(parts, part) if part else parts
-                if new_part:
-                    moved = add_part(moved, new_part)
-                yield move, moved
-
-
-def _removals(
-    real: tuple[RealEntry, ...], order: list[int], parts: Partition
-) -> Iterator[tuple[tuple[tuple[int, int], ...], int]]:
-    """Small parts R of a datum for `_moves`: ((entry position, units), ...), part.
-
-    A part of 0 means none.  In order: nothing; one to four units of one
-    entry; one part; one unit each of two entries; two units of one entry
-    and one of another.  Entries run in `order`, parts ascending.
-    """
-    yield (), 0
-    for i in order:
-        for units in range(1, min(real[i].mult, 4) + 1):
-            yield ((i, units),), 0
-    for p in sorted(set(parts)):
-        yield (), p
-    for i, j in combinations(order, 2):
-        yield ((i, 1), (j, 1)), 0
-    for i, j in permutations(order, 2):
-        if real[i].mult >= 2:
-            yield ((i, 2), (j, 1)), 0
-
-
-def _additions(kind: Algebra, a: int, b: int) -> list[tuple[_Add, int]]:
-    """Small real data A of weight (a, b) for `_moves`: ((root, units), ...), 0.
-
-    Nothing, for weight zero; else units of one real root.  Every real
-    root is primitive (its coordinates are coprime), so that root can
-    only be (a, b) / gcd(a, b), taken gcd(a, b) times.
-    """
-    if a < 0 or b < 0:
-        return []
-    if a == b == 0:
-        return [((), 0)]
-    g = gcd(a, b)
-    label = _root_label(kind, a // g, b // g)
-    return [(((label, g),), 0)] if label is not None else []
-
-
-def _part(kind: Algebra, a: int, b: int) -> list[tuple[_Add, int]]:
-    """One part of a partition as A for `_moves`: (), a, when (a, b) is
-    a positive multiple of delta (delta has a == 1 in both algebras)."""
-    return [((), a)] if a > 0 and lean(kind, a, b) == 0 else []
-
-
-def _splits(kind: Algebra, a: int, b: int) -> Iterator[tuple[_Add, int]]:
-    """Two real roots as A for `_moves`: one unit each of two, or two
-    units of one and one of another, of total weight (a, b).
-
-    Lazy, since far up a ladder there are many and `_recomplete` checks
-    only the first few moves.
-    """
-    if a < 0 or b < 0:
-        return
-    top = max_real_index(kind, RootVector(a, b))
-    for family in FAMILIES:
-        for k in range(1, top + 1):
-            ra, rb = ladder_root(kind, family, k)
-            if ra > a or rb > b:
-                continue
-            one = (family, k)
-            rest = _root_label(kind, a - ra, b - rb)
-            if rest is not None and one < rest:
-                yield ((one, 1), (rest, 1)), 0
-            if 2 * ra <= a and 2 * rb <= b:
-                rest = _root_label(kind, a - 2 * ra, b - 2 * rb)
-                if rest is not None and rest != one:
-                    yield ((one, 2), (rest, 1)), 0
-
-
-def _moved(real: tuple[RealEntry, ...], move: _Move) -> tuple[RealEntry, ...]:
-    """The real entries `real` after `move`, in canonical order."""
-    out = list(real)
-    for family, k, units in move:
-        key = (family == HIGH, k)
-        for j, (f, kk, mult) in enumerate(out):
-            if f == family and kk == k:
-                out[j] = RealEntry(family, k, mult + units)
-                break
-            if (f == HIGH, kk) > key:
-                out.insert(j, RealEntry(family, k, units))
-                break
-        else:
-            out.append(RealEntry(family, k, units))
-    return tuple(entry for entry in out if entry.mult)
 
 
 def _oracle_completions(known: LusztigDatum) -> tuple[list[LusztigDatum], int]:

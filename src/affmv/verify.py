@@ -31,7 +31,7 @@ from .roots import (
     RootVector,
     simple_reflection,
 )
-from .transition import DFS, SolverInvariantError, transition_l_to_r
+from .transition import DFS, SolverInvariantError, _partner
 
 __all__ = [
     "Report",
@@ -168,7 +168,8 @@ def check_uniqueness(kind: Algebra, box: RootVector) -> Report:
     computed (`_pairing`); rows and columns must contain exactly one
     passing partner, the matrix must be symmetric under the side swap,
     and the pruned search must return exactly the baseline partner both
-    ways: its one answer T(d) is compared with the row and the column
+    ways: its one answer T(d), searched afresh for every datum rather
+    than read from the cache, is compared with the row and the column
     partner.
     """
     t = _Tally()
@@ -210,7 +211,8 @@ def check_uniqueness(kind: Algebra, box: RootVector) -> Report:
         for i, d in enumerate(data):
             t.hit("dfs completions", 2)
             try:
-                got = transition_l_to_r(d, solver=DFS)
+                # fresh: T(d) may be cached from the solve of its partner
+                got = _partner(d, DFS, fresh=True)
             except SolverInvariantError as err:
                 t.hit("dfs mismatches")
                 t.fail(f"weight {w}: pruned solver failed on {d}: {err}")

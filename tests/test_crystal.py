@@ -4,18 +4,14 @@ reflections, and graph generation.
 Small operator words are frozen; structural identities (inverses, the
 star intertwiner, reflection weights, the triangle/tube interaction of
 the two raising families) are swept over small graphs for both kinds.
-The operators' local re-completion is compared with the DFS on every
-step of two graphs and of seeded large completions, and its fallbacks
-to the DFS are bounded.
+A cold graph searches each polytope once, from whichever side it is
+reached first.
 """
-
-import random
 
 import pytest
 
-from affmv import crystal, transition
+from affmv import transition
 from affmv.crystal import (
-    _bump,
     crystal_graph,
     e,
     e_star,
@@ -34,15 +30,8 @@ from affmv.crystal import (
 from affmv.lusztig import PreconditionViolated, UnsupportedKind, datum, twist_s
 from affmv.polytope import is_mv
 from affmv.roots import ALPHA0, ALPHA1, HIGH, LOW, Algebra, simple_reflection
-from affmv.transition import (
-    DFS,
-    _dfs_completions,
-    _recomplete,
-    clear_cache,
-    complete_from_right,
-)
+from affmv.transition import clear_cache, complete_from_right, transition_l_to_r
 from conftest import KINDS
-from test_transition import seeded_datum
 
 SWEEP_DEPTH = 5
 
@@ -305,68 +294,22 @@ class TestGraphs:
         for b in small_graph(kind).nodes:
             assert is_mv(b).ok
             assert b.left.weight == b.right.weight == b.weight
+            clear_cache()  # so that b.right is searched, not read back
             assert complete_from_right(b.right).left == b.left
 
-
-def crystal_steps(nodes):
-    """(known, old) for every e, f, e*, f* step from each node: the datum
-    whose index-1 multiplicity the step moves, after the move, and its
-    partner before it."""
-    for b in nodes:
-        for side in (b, star(b)):
-            for family, moved, old in (
-                (HIGH, side.right, side.left),
-                (LOW, side.left, side.right),
-            ):
-                for by in (1, -1):
-                    if by > 0 or moved.mult(family, 1):
-                        yield _bump(moved, family, by), old
-
-
-def assert_local_matches_the_dfs(steps):
-    for known, old in steps:
-        clear_cache()  # so that the local search runs
-        assert [_recomplete(known, old)] == _dfs_completions(known)
-
-
-class TestLocalRecompletion:
-    """The operators re-complete a step by searching around the old
-    partner (`transition._recomplete`) and fall back to the DFS."""
-
-    @pytest.mark.parametrize(
-        "kind, depth", ((Algebra.SL2_HAT, 12), (Algebra.A2_TWISTED, 10))
-    )
-    def test_every_graph_step_matches_the_dfs(self, kind, depth):
-        assert_local_matches_the_dfs(set(crystal_steps(crystal_graph(kind, depth).nodes)))
-
     @pytest.mark.parametrize("kind", KINDS)
-    def test_steps_from_large_completions_match_the_dfs(self, kind):
-        """Seeded data of height up to 200: a step can move several
-        units far up a ladder, and about one in seven reaches the DFS."""
-        rng = random.Random(1216)
-        for _ in range(30):
-            P = complete_from_right(seeded_datum(rng, kind, top=200))
-            assert_local_matches_the_dfs(crystal_steps([P]))
+    def test_a_cold_graph_searches_each_polytope_once(self, kind, monkeypatch):
+        """A solve caches T both ways, so e_i and e_i* reaching one
+        polytope from its two sides search it once."""
+        searched = []
+        dfs = transition._dfs_completions
 
-    @pytest.mark.parametrize(
-        "kind, depth", ((Algebra.SL2_HAT, 12), (Algebra.A2_TWISTED, 10))
-    )
-    def test_cold_graphs_rarely_fall_back(self, kind, depth, monkeypatch):
-        """At most 5 % of the steps that miss the cache reach the DFS."""
-        misses, fallbacks = [], []
-        local, dfs = crystal._recomplete, transition._dfs_completions
-
-        def counting_local(known, old):
-            if (DFS, known) not in transition._CACHE:
-                misses.append(known)
-            return local(known, old)
-
-        def counting_dfs(known):
-            fallbacks.append(known)
+        def counting(known):
+            searched.append(known)
             return dfs(known)
 
-        monkeypatch.setattr(crystal, "_recomplete", counting_local)
-        monkeypatch.setattr(transition, "_dfs_completions", counting_dfs)
+        monkeypatch.setattr(transition, "_dfs_completions", counting)
         clear_cache()
-        crystal_graph(kind, depth)
-        assert misses and len(fallbacks) <= 0.05 * len(misses)
+        crystal_graph(kind, 8)
+        solved = {frozenset((d, transition_l_to_r(d))) for d in searched}
+        assert searched and len(solved) == len(searched)

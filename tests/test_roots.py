@@ -6,7 +6,6 @@ against the ladder enumeration.
 """
 
 import re
-from math import gcd
 
 import pytest
 from hypothesis import given
@@ -212,14 +211,6 @@ class TestLadders:
         for entry in positive_real_roots(kind, BOX[kind]):
             assert beta(kind, entry.family, entry.k) == entry.root
             assert root_label(kind, entry.root) == (entry.family, entry.k)
-
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_real_roots_are_primitive(self, kind):
-        """Coprime coordinates: a multiple of a real root is that root
-        g = gcd(a, b) times, which `transition._additions` relies on."""
-        for family in FAMILIES:
-            for k in range(1, 2001):
-                assert gcd(*ladder_root(kind, family, k)) == 1
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_first_rungs(self, kind):

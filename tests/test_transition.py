@@ -10,7 +10,9 @@ The index-1 solve is checked leaf for leaf against one walk per
 multiplicity, DFS partners of seeded data up to height 300 are pinned
 by a digest, and single roots far up a ladder and delta=[20000] complete
 to their closed forms; the interval join of delta=[10^5] tries only the
-few values that can pass.  The completion cache stays within its bound.
+few values that can pass.  The completion cache stays within its bound
+and stores each solve both ways; tests of the search clear it so that
+T of a partner is searched, not read back.
 """
 
 import hashlib
@@ -87,6 +89,7 @@ class TestReferencePair:
     def test_round_trip(self, solver, reference_left, reference_right):
         clear_cache()
         assert transition_l_to_r(reference_right, solver=solver) == reference_left
+        clear_cache()  # a solve caches both ways: search this side too
         assert transition_l_to_r(reference_left, solver=solver) == reference_right
 
     def test_completions_are_mv(self, reference_right):
@@ -130,6 +133,7 @@ class TestSolverAgreement:
     @pytest.mark.parametrize("kind", KINDS)
     def test_dfs_matches_the_oracle_everywhere(self, kind):
         for d in tiny_data(kind):
+            clear_cache()  # a solve caches T of its partner too: search each d
             assert transition_l_to_r(d, solver=DFS) == transition_l_to_r(
                 d, solver=ORACLE
             )
@@ -144,6 +148,7 @@ class TestSolverAgreement:
         for _ in range(150):
             w = RootVector(rng.randint(0, 10), rng.randint(0, 10))
             d = rng.choice(enumerate_data(kind, w))
+            clear_cache()
             assert transition_l_to_r(d, solver=DFS) == transition_l_to_r(
                 d, solver=ORACLE
             )
@@ -160,6 +165,7 @@ class TestSolverAgreement:
             w = RootVector(rng.randint(11, 16), rng.randint(11, 16))
             real, n = rng.choice(list(_real_parts(kind, w)))
             d = LusztigDatum(kind, real, rng.choice(list(partitions(n))))
+            clear_cache()
             assert transition_l_to_r(d, solver=DFS) == transition_l_to_r(
                 d, solver=ORACLE
             )
@@ -167,7 +173,9 @@ class TestSolverAgreement:
     @pytest.mark.parametrize("kind", KINDS)
     def test_completing_twice_is_the_identity(self, kind):
         for d in tiny_data(kind):
-            assert transition_l_to_r(transition_l_to_r(d)) == d
+            partner = transition_l_to_r(d)
+            clear_cache()  # so that T(partner) is searched, not read back
+            assert transition_l_to_r(partner) == d
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_transition_preserves_the_weight_not_the_datum(self, kind):
@@ -210,6 +218,7 @@ class TestLargeData:
     @pytest.mark.parametrize("d", LARGE_DATA.values(), ids=LARGE_DATA.keys())
     def test_T_is_a_weight_preserving_involution(self, d):
         partner = transition_l_to_r(d)
+        clear_cache()  # so that T(partner) is searched, not read back
         assert transition_l_to_r(partner) == d
         assert partner.weight == d.weight
         assert is_mv(DecoratedPolytope(partner, d)).ok
@@ -305,7 +314,9 @@ class TestPlumbing:
             for d, partner in zip(data, partners):
                 assert transition_l_to_r(d) == partner
                 assert len(_CACHE) <= 5
-            assert [known for _, known in _CACHE] == data[-5:]
+            # Each solve stores both directions, T being an involution.
+            both = [x for d, partner in zip(data, partners) for x in (d, partner)]
+            assert [known for _, known in _CACHE] == both[-5:]
 
     def test_zero_datum_completes_to_itself(self):
         for kind in KINDS:
@@ -363,6 +374,7 @@ class TestInvolutionProperties:
     def test_T_is_a_weight_preserving_involution(self, kind, data):
         d = data.draw(bounded_data(kind, max_height=200))
         partner = transition_l_to_r(d)
+        clear_cache()  # so that T(partner) is searched, not read back
         assert transition_l_to_r(partner) == d
         assert partner.weight == d.weight
         assert is_mv(DecoratedPolytope(d, partner)).ok
@@ -460,10 +472,10 @@ def expanded(leaves):
             yield ((1, m1),) + picks if m1 else picks, rx - m1, ry
 
 
-def seeded_datum(rng, kind, top=300):
-    """A datum of height 5..top: a few entries at ladder indices 2..12
+def seeded_datum(rng, kind):
+    """A datum of height 5..300: a few entries at ladder indices 2..12
     and parts, the rest of the height on the two simple roots."""
-    height = rng.randint(5, top)
+    height = rng.randint(5, 300)
     real = {}
     used = 0
     for _ in range(rng.randint(0, 5)):

@@ -7,7 +7,7 @@ report type itself is pinned down.
 
 import pytest
 
-from affmv import crystal
+from affmv import crystal, transition
 from affmv.crystal import crystal_graph
 from affmv.lusztig import enumerate_data
 from affmv.polytope import mv_violations, path_prefixes, weight_truncation_index
@@ -69,6 +69,22 @@ class TestUniqueness:
         assert rep.count("dfs mismatches") == 0
         # Every datum is completed by the solver once per side.
         assert rep.count("dfs completions") == 2 * rep.count("data checked")
+
+    def test_the_search_runs_on_every_datum(self, monkeypatch):
+        """A solve caches its partner's answer too; the check searches
+        each datum afresh all the same."""
+        searched = []
+        dfs = transition._dfs_completions
+
+        def counting(known):
+            searched.append(known)
+            return dfs(known)
+
+        monkeypatch.setattr(transition, "_dfs_completions", counting)
+        transition.clear_cache()
+        rep = check_uniqueness(Algebra.SL2_HAT, RootVector(3, 3))
+        assert rep.passed
+        assert len(searched) == len(set(searched)) == rep.count("data checked")
 
     def test_weight_notes_partition_the_box(self):
         rep = check_uniqueness(Algebra.SL2_HAT, RootVector(2, 2))

@@ -7,9 +7,10 @@ imaginary partition decorates the vertical edge between them.  The four
 conditions checked here cut out exactly the pairs that glue into one
 consistent polygon with matching decorations.
 
-All checks are evaluated on integer prefix-sum arrays truncated at an
-index just past the support of both data; beyond that index every prefix
-is constant, so the truncated scan is equivalent to the infinite one.
+Each ladder of a datum is a `HalfPath` of prefix sums in its own
+coordinates, where conditions 1 and 2 are one pairing and the vertical
+edges one difference.  The sums stop just past both supports, beyond
+which they are constant, so the truncated scan equals the infinite one.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .roots import max_real_index
 __all__ = [
     "DecoratedPolytope",
     "VertexFan",
+    "HalfPath",
     "PathPrefixes",
     "PathTooLong",
     "MAX_PATH_INDEX",
@@ -31,8 +33,11 @@ __all__ = [
     "MVVerdict",
     "truncation_index",
     "weight_truncation_index",
+    "half_path",
     "path_prefixes",
     "vertices",
+    "pairing_defect",
+    "vertical_edge",
     "mv_violations",
     "is_mv",
     "part_size_ratio",
@@ -79,21 +84,33 @@ def _pair(left: LusztigDatum, right: LusztigDatum) -> DecoratedPolytope:
     return P
 
 
-class PathPrefixes(NamedTuple):
-    """Coordinatewise prefix sums of the two ladders of one datum.
+class HalfPath(NamedTuple):
+    """One ladder of one datum as prefix sums, in the ladder's own coordinates.
 
-    Index k holds the sum of the first k ladder entries (with
-    multiplicity); all four arrays have length upto+1 and are constant
-    from the datum's support onward.
+    x[k], y[k] sum the ladder's roots at indices <= k for k = 0..K and
+    are constant from the support on.  (x, y) is (a, b) on the high
+    ladder and (b, a) on the low one, converted only here; in them
+    conditions 1 and 2 are `pairing_defect` and the vertical edges
+    `vertical_edge`.  Every root has x >= 1: x rises at each entry.
     """
 
-    low_a: tuple[int, ...]
-    low_b: tuple[int, ...]
-    high_a: tuple[int, ...]
-    high_b: tuple[int, ...]
+    x: tuple[int, ...]
+    y: tuple[int, ...]
+
+    @property
+    def end(self) -> tuple[int, int]:
+        """The stable endpoint (x, y), the sum of the whole ladder."""
+        return self.x[-1], self.y[-1]
 
 
-# The largest truncation index `path_prefixes` builds arrays for.  Every
+class PathPrefixes(NamedTuple):
+    """The two half-paths of one datum, truncated at one index."""
+
+    low: HalfPath
+    high: HalfPath
+
+
+# The largest truncation index `half_path` builds arrays for.  Every
 # one-entry datum with k <= 10^6 fits, and so does delta = [10^6], whose
 # a2(2) weight reaches index 2,000,001; a larger index is refused before
 # any memory is taken for it.
@@ -104,15 +121,17 @@ class PathTooLong(ValueError):
     """A datum or weight needs prefix arrays past `MAX_PATH_INDEX`."""
 
 
-def _ladder_prefixes(
+def half_path(
     kind: Algebra, real: Sequence[RealEntry], family: str, upto: int
-) -> tuple[list[int], list[int]]:
-    """Prefix sums (xs, ys) of one ladder's entries of `real`, indices 0..upto.
+) -> HalfPath:
+    """The `family` ladder of the canonical-order entries `real`, indices 0..upto.
 
-    Index k sums the entries at indices <= k; `real` is in canonical
-    order, and entries past `upto` are left out.  Each entry extends the
-    lists by one run, so the cost is in the entries, not in `upto`.
+    Entries past `upto` are left out; the cost is in the entries, not `upto`.
     """
+    if upto > MAX_PATH_INDEX:
+        raise PathTooLong(
+            f"ladder index {upto} is past the supported limit {MAX_PATH_INDEX}"
+        )
     xs: list[int] = []
     ys: list[int] = []
     a = b = 0
@@ -126,17 +145,15 @@ def _ladder_prefixes(
         b += mult * rb
     xs += [a] * (upto + 1 - len(xs))
     ys += [b] * (upto + 1 - len(ys))
-    return xs, ys
+    if family == LOW:
+        return HalfPath(tuple(ys), tuple(xs))
+    return HalfPath(tuple(xs), tuple(ys))
 
 
 def path_prefixes(d: LusztigDatum, upto: int) -> PathPrefixes:
-    if upto > MAX_PATH_INDEX:
-        raise PathTooLong(
-            f"ladder index {upto} is past the supported limit {MAX_PATH_INDEX}"
-        )
-    la, lb = _ladder_prefixes(d.kind, d.real, LOW, upto)
-    ha, hb = _ladder_prefixes(d.kind, d.real, HIGH, upto)
-    return PathPrefixes(tuple(la), tuple(lb), tuple(ha), tuple(hb))
+    return PathPrefixes(
+        half_path(d.kind, d.real, LOW, upto), half_path(d.kind, d.real, HIGH, upto)
+    )
 
 
 def truncation_index(P: DecoratedPolytope) -> int:
@@ -172,10 +189,10 @@ def vertices(P: DecoratedPolytope) -> VertexFan:
     w = P.weight
     L = path_prefixes(P.left, K)
     R = path_prefixes(P.right, K)
-    mu_r = tuple(RootVector(R.low_a[k], R.low_b[k]) for k in range(K + 1))
-    mu_r_top = tuple(w - RootVector(R.high_a[k], R.high_b[k]) for k in range(K + 1))
-    mu_l = tuple(RootVector(L.high_a[k], L.high_b[k]) for k in range(K + 1))
-    mu_l_top = tuple(w - RootVector(L.low_a[k], L.low_b[k]) for k in range(K + 1))
+    mu_r = tuple(RootVector(a, b) for b, a in zip(*R.low))
+    mu_r_top = tuple(w - RootVector(a, b) for a, b in zip(*R.high))
+    mu_l = tuple(RootVector(a, b) for a, b in zip(*L.high))
+    mu_l_top = tuple(w - RootVector(a, b) for b, a in zip(*L.low))
     return VertexFan(mu_r, mu_r_top, mu_l, mu_l_top)
 
 
@@ -203,32 +220,33 @@ def part_size_ratio(kind: Algebra, diff: RootVector) -> tuple[int, int]:
     return lean(kind, diff.a, diff.b), length_ratio(kind)
 
 
-def _half_path_defect(
-    Ux: Sequence[int],
-    Uy: Sequence[int],
-    Vx: Sequence[int],
-    Vy: Sequence[int],
-    start: int,
-    stop: int,
-) -> tuple[int, int] | None:
-    """First k in start..stop-1 where one half-path pairing fails, with its value.
+def pairing_defect(U: HalfPath, V: HalfPath, start: int = 2) -> tuple[int, int] | None:
+    """First k >= start where the pairing of U and V fails, as (k, max), or None.
 
-    The pairing holds at k when max(Uy[k] - Vy[k-1], Vx[k] - Ux[k-1])
-    is 0.  Condition 1 of `mv_violations` is this pairing of the left
-    high ladder (U) with the right low ladder (V) in (a, b) coordinates;
-    condition 2 pairs the left low ladder with the right high ladder in
-    (b, a) coordinates, and its min is minus this max.  So each condition
-    reads one half of each datum: the left datum's high or low prefixes
-    and the right datum's low or high ones.  Returns (k, max) or None.
+    The pairing holds at k when max(U.y[k] - V.x[k-1], V.y[k] - U.x[k-1])
+    is 0; it is symmetric in U and V, which have one length.  Condition 1
+    pairs L.high with R.low, condition 2 L.low with R.high.
     """
-    for k in range(start, stop):
-        m = Uy[k] - Vy[k - 1]
-        x = Vx[k] - Ux[k - 1]
+    Ux, Uy = U
+    Vx, Vy = V
+    for k in range(start, len(Ux)):
+        m = Uy[k] - Vx[k - 1]
+        x = Vy[k] - Ux[k - 1]
         if x > m:  # m = max(m, x), without the call on this hot path
             m = x
         if m:
             return k, m
     return None
+
+
+def vertical_edge(high_end: tuple[int, int], low_end: tuple[int, int]) -> RootVector:
+    """The low end minus the high end (`HalfPath.end`s), in (a, b).
+
+    d1 = vertical_edge(L.high.end, R.low.end) spans the bottom feet of the
+    vertical edges, d2 = vertical_edge(R.high.end, L.low.end) the top ones.
+    """
+    (hx, hy), (lx, ly) = high_end, low_end
+    return RootVector(ly - hx, lx - hy)
 
 
 def mv_violations(
@@ -239,42 +257,38 @@ def mv_violations(
     right_delta: Partition,
     first_only: bool = False,
 ) -> list[MVViolation]:
-    """All MV condition failures for a pair given as prefix arrays.
+    """All MV condition failures for a pair given as half-paths.
 
     Condition 1 ties each left high-ladder prefix to the neighbouring
     right low-ladder prefix (the two lower boundary paths trace one
     polygon), condition 2 does the same for the upper paths, condition 3
     matches the two vertical-edge partitions up to one part of the
     prescribed size, and condition 4 bounds the largest parts by that
-    size.  The scan runs to the arrays' last index, so all eight must
+    size.  The scan runs to the half-paths' last index, so all four must
     have one length and be constant from both supports on.  Failures
     are listed by index k, condition 1 before 2 at the same k, then 3
     and 4.  With first_only the conditions are tried in order and the
     scan stops at the first failure: the one violation returned is the
     lowest-indexed failure of the lowest-numbered failing condition.
     """
-    upto = len(L.low_a) - 1
     bad: list[MVViolation] = []
     # Condition 2's defect is a min, the negative of the max found.
-    halves = (
-        (1, "max", 1, L.high_a, L.high_b, R.low_a, R.low_b),
-        (2, "min", -1, L.low_b, L.low_a, R.high_b, R.high_a),
-    )
-    for condition, extremum, sign, Ux, Uy, Vx, Vy in halves:
-        hit = _half_path_defect(Ux, Uy, Vx, Vy, 2, upto + 1)
+    for condition, extremum, sign, U, V in (
+        (1, "max", 1, L.high, R.low),
+        (2, "min", -1, L.low, R.high),
+    ):
+        hit = pairing_defect(U, V)
         while hit is not None:
             k, m = hit
             note = f"{extremum} is {sign * m}, expected 0"
             bad.append(MVViolation(condition, k, note))
             if first_only:
                 return bad
-            hit = _half_path_defect(Ux, Uy, Vx, Vy, k + 1, upto + 1)
+            hit = pairing_defect(U, V, k + 1)
     bad.sort(key=lambda v: v.k)  # stable: condition 1 first at equal k
 
-    # Stable endpoints of the four paths; d1 spans the two bottom
-    # vertical-edge feet, d2 the two top ones.
-    d1 = RootVector(R.low_a[upto] - L.high_a[upto], R.low_b[upto] - L.high_b[upto])
-    d2 = RootVector(L.low_a[upto] - R.high_a[upto], L.low_b[upto] - R.high_b[upto])
+    d1 = vertical_edge(L.high.end, R.low.end)
+    d2 = vertical_edge(R.high.end, L.low.end)
     return bad + _edge_violations(kind, d1, d2, left_delta, right_delta, first_only)
 
 
@@ -288,10 +302,8 @@ def _edge_violations(
 ) -> list[MVViolation]:
     """Conditions 3 and 4 of `mv_violations`, given the vertical edges.
 
-    d1 spans the two bottom vertical-edge feet (right low endpoint minus
-    left high endpoint) and d2 the two top ones (left low endpoint minus
-    right high endpoint).  These are the only conditions that read the
-    partitions.
+    d1 and d2 are the bottom and the top `vertical_edge`.  These are the
+    only conditions that read the partitions.
     """
     bad: list[MVViolation] = []
     num, den = part_size_ratio(kind, d1)

@@ -42,6 +42,10 @@ class Algebra(Enum):
     SL2_HAT = "sl2hat"
     A2_TWISTED = "a2(2)"
 
+    # Members are singletons compared by identity; Enum's hash of the name
+    # runs in Python on every lookup of a datum or polytope key.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True, order=True)
 class RootVector:

@@ -21,21 +21,21 @@ if the search ever contradicts that.
 
 Completing from the left and completing from the right are one map T,
 an involution: the MV relation is symmetric under exchanging the two
-data.  Condition 1 of `mv_violations` for (L, R) is condition 2 for
-(R, L), since min(-x, -y) = -max(x, y).  Exchanging the data also
-exchanges the two vertical-edge differences d1 and d2, and conditions 3
-and 4 read them only through `part_size_ratio`, which agrees on both
-because d1 - d2 is a multiple of delta; the rest of those two
-conditions is symmetric in the partitions.  So the partner of a left
-datum is the partner of the same datum placed on the right, and one
-search (the unknown datum on the left) serves both sides.
+data.  Exchanging them exchanges conditions 1 and 2, and the vertical
+edges d1 and d2, since `polytope.pairing_defect` is symmetric in its two
+half-paths.  Conditions 3 and 4 read d1 and d2 only through
+`part_size_ratio`, which agrees on both because d1 - d2 is a multiple of
+delta; the rest of them is symmetric in the partitions.  So the partner
+of a left datum is the partner of the same datum placed on the right,
+and one search (the unknown datum on the left) serves both sides.
 
 Results are memoized per (solver, datum), up to `_CACHE_SIZE` entries,
 the oldest dropped first; entries are immutable, so the cache behaves as
 a pure function table.  Since T is an involution, a solve stores its
 answer both ways, under the datum and under its partner: the crystal
 operators e_i and e_i* reach one polytope from its two sides and solve
-it once.  Checks of the search itself clear the cache or pass `fresh`.
+it once.  `_solve` searches even when the answer is cached, for checks
+of the search itself.
 """
 
 from __future__ import annotations
@@ -55,13 +55,15 @@ from .lusztig import (
 )
 from .polytope import (
     DecoratedPolytope,
+    HalfPath,
     _edge_violations,
-    _half_path_defect,
-    _ladder_prefixes,
     _pair,
+    half_path,
     mv_violations,
+    pairing_defect,
     part_size_ratio,
     path_prefixes,
+    vertical_edge,
     weight_truncation_index,
 )
 from .roots import (
@@ -130,16 +132,14 @@ def transition_l_to_r(d: LusztigDatum, solver: str = DFS) -> LusztigDatum:
     return _partner(d, solver)
 
 
-def _partner(known: LusztigDatum, solver: str, fresh: bool = False) -> LusztigDatum:
-    """The one completion of `known` by `solver`, from `_CACHE` unless `fresh`.
+def _partner(known: LusztigDatum, solver: str) -> LusztigDatum:
+    """The one completion of `known` by `solver`, from `_CACHE` if there."""
+    hit = _CACHE.get((solver, known))
+    return hit if hit is not None else _solve(known, solver)
 
-    `fresh` runs the search even when the answer is cached, for a check
-    of the search itself.
-    """
-    if not fresh:
-        hit = _CACHE.get((solver, known))
-        if hit is not None:
-            return hit
+
+def _solve(known: LusztigDatum, solver: str) -> LusztigDatum:
+    """Search `known`'s one completion by `solver`, cached or not, and cache it."""
     if solver == ORACLE:
         found, _ = _oracle_completions(known)
     elif solver == DFS:
@@ -165,12 +165,12 @@ def _oracle_completions(known: LusztigDatum) -> tuple[list[LusztigDatum], int]:
     The candidates, placed on the left, are the data of `enumerate_data`
     in its order, walked without building them: each real part of
     `lusztig._real_parts` with each partition of what it leaves.
-    Conditions 1 and 2 do not read the partition, and each reads one
-    half of the candidate (`polytope._half_path_defect`), so, as in
-    `verify._pairing`, each is scanned once per distinct half, and its
-    verdict holds for every candidate with that half.  The candidates of
-    a real part failing either condition fail with every partition; for
-    a real part passing both, conditions 3 and 4 run on each partition.
+    Conditions 1 and 2 do not read the partition, and each pairs one
+    half of the candidate with one of `known` (`polytope.pairing_defect`),
+    so, as in `verify._pairing`, each is scanned once per distinct half
+    and holds for every candidate with it.  The candidates of a real part
+    failing either condition fail with every partition; for a real part
+    passing both, conditions 3 and 4 run on each partition.
     Only a candidate passing all four is built as a datum.
 
     Returns the passing data and the number of candidates judged, which
@@ -181,13 +181,11 @@ def _oracle_completions(known: LusztigDatum) -> tuple[list[LusztigDatum], int]:
     K = weight_truncation_index(kind, w)
     kp = path_prefixes(known, K)
 
-    def half_end(memo, half, family, swap, Vx, Vy):
-        """The endpoint of one half of the candidate if its condition holds."""
+    def half_end(memo, half, family, V):
+        """The end of one half of the candidate if its pairing with V holds."""
         if half not in memo:
-            xs, ys = _ladder_prefixes(kind, half, family, K)
-            Ux, Uy = (ys, xs) if swap else (xs, ys)
-            ok = _half_path_defect(Ux, Uy, Vx, Vy, 2, K + 1) is None
-            memo[half] = (xs[K], ys[K]) if ok else None
+            U = half_path(kind, half, family, K)
+            memo[half] = U.end if pairing_defect(U, V) is None else None
         return memo[half]
 
     cond1: dict[tuple[RealEntry, ...], tuple[int, int] | None] = {}
@@ -199,17 +197,17 @@ def _oracle_completions(known: LusztigDatum) -> tuple[list[LusztigDatum], int]:
         cut = sum(entry.family == LOW for entry in real)  # low entries lead
         # Condition 1: the candidate's high half against the known low
         # half; condition 2: its low half against the known high half.
-        high_end = half_end(cond1, real[cut:], HIGH, False, kp.low_a, kp.low_b)
+        high_end = half_end(cond1, real[cut:], HIGH, kp.low)
         low_end = None
         if high_end is not None:
-            low_end = half_end(cond2, real[:cut], LOW, True, kp.high_b, kp.high_a)
+            low_end = half_end(cond2, real[:cut], LOW, kp.high)
         if low_end is None:
             if n not in sizes:
                 sizes[n] = sum(1 for _ in partitions(n))
             judged += sizes[n]
             continue
-        d1 = RootVector(kp.low_a[K] - high_end[0], kp.low_b[K] - high_end[1])
-        d2 = RootVector(low_end[0] - kp.high_a[K], low_end[1] - kp.high_b[K])
+        d1 = vertical_edge(high_end, kp.low.end)
+        d2 = vertical_edge(kp.high.end, low_end)
         for parts in partitions(n):
             judged += 1
             if not _edge_violations(kind, d1, d2, parts, known.delta, True):
@@ -224,51 +222,40 @@ _Picks = tuple[tuple[int, int], ...]
 _Leaf = tuple[_Picks, int, int, int, int]
 
 
-def _next_support(d: LusztigDatum, family: str, K: int) -> list[int]:
-    """nxt[k]: the smallest index j >= k where d has an entry on `family`.
-
-    K+1 stands for "none"; the list has length K+2.
-    """
+def _next_support(V: HalfPath) -> list[int]:
+    """nxt[k], 1 <= k <= K+1: the first index j >= k where V's ladder has
+    an entry (x rises there), K+1 for none; the list has length K+2."""
+    xs = V.x
+    K = len(xs) - 1
     nxt = [K + 1] * (K + 2)
-    support = {e.k for e in d.real if e.family == family}
     for k in range(K, 0, -1):
-        nxt[k] = k if k in support else nxt[k + 1]
+        nxt[k] = k if xs[k] != xs[k - 1] else nxt[k + 1]
     return nxt
 
 
 def _ladder_leaves(
-    kind: Algebra,
-    family: str,
-    X: tuple[int, ...],
-    Y: tuple[int, ...],
-    nxt: list[int],
-    wx: int,
-    wy: int,
+    kind: Algebra, family: str, V: HalfPath, w: RootVector
 ) -> Iterator[_Leaf]:
-    """The choices on one ladder of the unknown datum that pass its MV condition.
+    """The choices on the unknown datum's `family` ladder that pass its condition.
 
-    A choice passes when it meets the condition at every index 2..K and
-    fits under the weight (wx, wy).  Coordinates are (x, y): (a, b) for
-    the high ladder, (b, a) for the low one, so that both conditions read
-    max(Uy[k] - Y[k-1], X[k] - Ux[k-1]) == 0, where U are the prefix sums
-    of the unknown datum's `family` ladder and X, Y those of the known
-    datum on the paired ladder: the half-path pairing that
-    `mv_violations` checks with `polytope._half_path_defect`.  Roots are
-    read with `roots.ladder_root` at the indices the search visits.
-    Yields `_Leaf`s: the walked choices as points (lo == hi), and at
-    most one interval, the forced tail below.
+    V is the known datum's half on the paired ladder.  A choice U passes
+    when `polytope.pairing_defect(U, V)` finds no k and U fits under the
+    weight, (wx, wy) in the ladder's own coordinates, as are the roots
+    the search reads with `roots.ladder_root` at the indices it visits
+    and the rx, ry of the `_Leaf`s it yields: the walked choices as
+    points (lo == hi), and at most one interval, the forced tail below.
 
-    Index 1 is (1, 0) in both coordinate systems and has no condition of
-    its own.  Write (cx, cy) for the weight the picks at 2..k-1 use.  Then
-    c = X[k] - (m1 + cx) and gap = Y[k-1] - cy at index k: m1 enters c
-    and never gap.  Every pick keeps cy <= Y[k-1] (a point sets it equal,
-    an interval stays below), so the gap is never negative, and it is at
-    most ry because Y[k-1] <= wy: the search tests neither gap < 0 nor
-    m*s <= ry.
+    Index 1 is (1, 0) on both ladders and has no condition of its own.
+    Write (cx, cy) for the weight the picks at 2..k-1 use.  Then
+    c = V.y[k] - (m1 + cx) and gap = V.x[k-1] - cy at index k: m1 enters
+    c and never gap.  Every pick keeps cy <= V.x[k-1] (a point sets it
+    equal, an interval stays below), so the gap is never negative, and
+    it is at most ry because V.x[k-1] <= wy: the search tests neither
+    gap < 0 nor m*s <= ry.
 
     One pass over k = 2..K, before any m1 is tried, follows the forced
     chain, the picks every step makes while c < 0 (the point m = gap/s),
-    and records t_k = X[k] - cx at each index it visits, cx being the
+    and records t_k = V.y[k] - cx at each index it visits, cx being the
     chain's use before k.  It stops at the first k where gap % s != 0:
     there the point does not exist.  Let T be the largest t_k.
 
@@ -278,19 +265,20 @@ def _ladder_leaves(
       survive up to T are the records of t (values above every earlier
       t_k), and each one's stack starts at its record index, from the
       chain's state and picks there.  The start fits under wx, because
-      m1 + cx = X[k] <= wx, and the chain's use only grows, so every
+      m1 + cx = V.y[k] <= wx, and the chain's use only grows, so every
       earlier step of the chain fits too.
     - For m1 > T, c < 0 at every index, so the walk is the whole chain;
       if the chain stopped, no such m1 survives.  Otherwise the cap
       m1 + cx <= wx, with cx the whole chain's use, leaves the one
       interval T+1 .. wx - cx, yielded as one leaf with no walk.  The
-      chain ends with cy <= Y[K], which the known datum's own ladder
+      chain ends with cy <= V.x[K], which the known datum's own ladder
       uses, so cy <= wy always.
     - A zero gap allows only m = 0.  If the known datum has no entry at
       k on the paired ladder, then at k+1 the gap is still 0 and c is
       unchanged (c moves only with the known entry at k+1), so m = 0
-      stays forced until the known datum's next support index nxt[k].
-      The chain and the walks jump there; t makes no record on the way.
+      stays forced until the known datum's next support index nxt[k]
+      (`_next_support`).  The chain and the walks jump there; t makes
+      no record on the way.
     - The same holds for a walk node with c == 0 where no root fits
       under (rx, gap): up to nxt[k], c and the gap do not move.  Along
       each run of a ladder (every k for sl2hat, the odd and the even k
@@ -301,8 +289,11 @@ def _ladder_leaves(
     Each walked record gets its own stack, so memory stays bounded
     however large m1 grows.
     """
-    K = len(X) - 1
+    Vx, Vy = V
+    K = len(Vx) - 1
+    nxt = _next_support(V)
     swap = family == LOW
+    wx, wy = (w.b, w.a) if swap else (w.a, w.b)
 
     def root(k: int) -> tuple[int, int]:
         sx, sy = ladder_root(kind, family, k)
@@ -314,11 +305,11 @@ def _ladder_leaves(
     whole = True
     k = 2
     while k <= K:
-        t = X[k] - cx
+        t = Vy[k] - cx
         if t > T:
             T = t
             starts.append((t, k, cx, cy, len(forced)))
-        gap = Y[k - 1] - cy
+        gap = Vx[k - 1] - cy
         if gap == 0:
             k = max(k + 1, nxt[k])
             continue
@@ -339,10 +330,10 @@ def _ladder_leaves(
             if k > K:
                 yield picks, m1, m1, rx + m1, ry
                 continue
-            c = X[k] - (wx - rx)
+            c = Vy[k] - (wx - rx)
             if c > 0:
                 continue
-            gap = Y[k - 1] - (wy - ry)
+            gap = Vx[k - 1] - (wy - ry)
             if gap == 0:
                 stack.append((max(k + 1, nxt[k]), rx, ry, picks))
                 continue
@@ -450,18 +441,18 @@ def _assemble(
 def _dfs_completions(known: LusztigDatum) -> list[LusztigDatum]:
     """Solved search for every partner of `known`.
 
-    The unknown datum sits on the left.  Condition 1 at index k reads
-    its high ladder against the known low prefixes, condition 2 its low
-    ladder against the known high prefixes, and at each k >= 2 exactly
-    one term depends on the multiplicity m being chosen, linearly with
-    the positive slope s (root.b on the high ladder, root.a on the low
-    one).  Written as max(c, s*m - gap) == 0, the condition allows no m
-    when c > 0, every m in 0..gap//s when c == 0, and only m = gap/s
-    when c < 0: one divmod, no filtering.  Index 1 has no condition, and
-    its multiplicity m1 enters only c, so the search walks only the m1
-    where the forced chain reaches a new threshold, starting there, and
-    yields every m1 past the last threshold as one interval leaf; runs
-    of indices where m = 0 is forced are jumped (`_ladder_leaves`).
+    The unknown datum sits on the left.  Condition 1 pairs its high
+    half with the known low half, condition 2 its low half with the
+    known high half, and at each k >= 2 exactly one term of the pairing
+    depends on the multiplicity m being chosen, linearly with the
+    positive slope s, the root's y (`polytope.HalfPath`).  Written as
+    max(c, s*m - gap) == 0, the condition allows no m when c > 0, every
+    m in 0..gap//s when c == 0, and only m = gap/s when c < 0: one
+    divmod, no filtering.  Index 1 has no condition, and its
+    multiplicity m1 enters only c, so the search walks only the m1 where
+    the forced chain reaches a new threshold, starting there, and yields
+    every m1 past the last threshold as one interval leaf; runs of
+    indices where m = 0 is forced are jumped (`_ladder_leaves`).
 
     The low ladder never reads the high choices, so each ladder is
     searched once, both bounded by the weight.  A high leaf leaves
@@ -486,12 +477,9 @@ def _dfs_completions(known: LusztigDatum) -> list[LusztigDatum]:
     ratio = length_ratio(kind)
     K = weight_truncation_index(kind, w)
     kp = path_prefixes(known, K)
-    high = _ladder_leaves(
-        kind, HIGH, kp.low_a, kp.low_b, _next_support(known, LOW, K), w.a, w.b
-    )
-    low = _ladder_leaves(
-        kind, LOW, kp.high_b, kp.high_a, _next_support(known, HIGH, K), w.b, w.a
-    )
+    low_end = kp.low.end
+    high = _ladder_leaves(kind, HIGH, kp.low, w)
+    low = _ladder_leaves(kind, LOW, kp.high, w)
     # Low-ladder weights lean >= 0, so no high point with a residual of
     # negative lean can join; dropping those keeps the table small when
     # alpha0 is heavy.
@@ -518,13 +506,14 @@ def _dfs_completions(known: LusztigDatum) -> list[LusztigDatum]:
             base = hb - ub - ratio * (ha - ua)
             first = max(hlo, -((base - lo) // ratio))
             last = min(hhi, ha - ua, (hi - base) // ratio)
+            # The unknown high half ends at w - r (`HalfPath.end`).
             m1s: Iterable[int] = range(first, last + 1)
             if first < last:
-                d1 = RootVector(kp.low_a[K] - (w.a - ha + first), kp.low_b[K] - (w.b - hb))
+                d1 = vertical_edge((w.a - ha + first, w.b - hb), low_end)
                 m1s = _edge_points(kind, known.delta, first, last, ha - first - ua, d1)
             for m1 in m1s:
                 n = ha - m1 - ua  # r - u == n*delta, and delta has a == 1
-                d1 = RootVector(kp.low_a[K] - (w.a - ha + m1), kp.low_b[K] - (w.b - hb))
+                d1 = vertical_edge((w.a - ha + m1, w.b - hb), low_end)
                 for parts in _delta_candidates(kind, known.delta, n, d1):
                     cand = _assemble(
                         kind, base + ratio * m1, low_picks, m1, high_picks, parts, w

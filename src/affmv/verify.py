@@ -20,8 +20,8 @@ from .lusztig import (
     trapezoid_datum,
     twist_s,
 )
-from .polytope import DecoratedPolytope, mv_violations, path_prefixes, vertices
-from .polytope import _half_path_defect, weight_truncation_index
+from .polytope import DecoratedPolytope, HalfPath, mv_violations, pairing_defect
+from .polytope import path_prefixes, vertices, weight_truncation_index
 from .roots import (
     ALPHA0,
     ALPHA1,
@@ -31,7 +31,7 @@ from .roots import (
     RootVector,
     simple_reflection,
 )
-from .transition import DFS, SolverInvariantError, _partner
+from .transition import DFS, SolverInvariantError, _solve
 
 __all__ = [
     "Report",
@@ -121,9 +121,9 @@ def _pairing(kind: Algebra, data: Sequence[LusztigDatum], K: int) -> list[list[i
 
     Entry (i, j) is `not mv_violations(..., first_only=True)` on the
     prefixes truncated at K, computed without running that check on all
-    n^2 pairs.  Condition 1 reads only the left datum's high half and the
-    right datum's low half, and condition 2 only the left low half and
-    the right high half (`_half_path_defect`).  So both conditions are
+    n^2 pairs.  Condition 1 pairs only the left datum's high half with
+    the right datum's low half, and condition 2 only the left low half
+    with the right high half (`pairing_defect`).  So both conditions are
     scanned once per distinct (high, low) and (low, high) pair of halves,
     and many data share a half: at the top weight of the sl2hat box
     (6,6), 134 data have 30 distinct halves of each kind.  A pair whose
@@ -132,20 +132,14 @@ def _pairing(kind: Algebra, data: Sequence[LusztigDatum], K: int) -> list[list[i
     verdict is the entry.  Hence the rows are exactly the full check's.
     """
     prefixes = [path_prefixes(d, K) for d in data]
-    lows: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-    highs: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-    low_of = [lows.setdefault((p.low_a, p.low_b), len(lows)) for p in prefixes]
-    high_of = [highs.setdefault((p.high_a, p.high_b), len(highs)) for p in prefixes]
+    lows: dict[HalfPath, int] = {}
+    highs: dict[HalfPath, int] = {}
+    low_of = [lows.setdefault(p.low, len(lows)) for p in prefixes]
+    high_of = [highs.setdefault(p.high, len(highs)) for p in prefixes]
     # pass1[h][l]: condition 1 holds for left high half h, right low half l;
     # pass2[l][h]: condition 2 holds for left low half l, right high half h.
-    pass1 = [
-        [_half_path_defect(ha, hb, la, lb, 2, K + 1) is None for la, lb in lows]
-        for ha, hb in highs
-    ]
-    pass2 = [
-        [_half_path_defect(lb, la, hb, ha, 2, K + 1) is None for ha, hb in highs]
-        for la, lb in lows
-    ]
+    pass1 = [[pairing_defect(h, low) is None for low in lows] for h in highs]
+    pass2 = [[pairing_defect(low, h) is None for h in highs] for low in lows]
     rows = []
     for i, (left, L) in enumerate(zip(data, prefixes)):
         ok1, ok2 = pass1[high_of[i]], pass2[low_of[i]]
@@ -168,7 +162,7 @@ def check_uniqueness(kind: Algebra, box: RootVector) -> Report:
     computed (`_pairing`); rows and columns must contain exactly one
     passing partner, the matrix must be symmetric under the side swap,
     and the pruned search must return exactly the baseline partner both
-    ways: its one answer T(d), searched afresh for every datum rather
+    ways: its one answer T(d), searched anew for every datum rather
     than read from the cache, is compared with the row and the column
     partner.
     """
@@ -211,8 +205,8 @@ def check_uniqueness(kind: Algebra, box: RootVector) -> Report:
         for i, d in enumerate(data):
             t.hit("dfs completions", 2)
             try:
-                # fresh: T(d) may be cached from the solve of its partner
-                got = _partner(d, DFS, fresh=True)
+                # searched: the solve of its partner may have cached T(d)
+                got = _solve(d, DFS)
             except SolverInvariantError as err:
                 t.hit("dfs mismatches")
                 t.fail(f"weight {w}: pruned solver failed on {d}: {err}")

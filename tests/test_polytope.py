@@ -56,14 +56,15 @@ class TestPrefixes:
                 (d.mult(HIGH, j) * beta(kind, HIGH, j) for j in range(1, k + 1)),
                 RootVector(0, 0),
             )
-            assert (pre.low_a[k], pre.low_b[k]) == (low.a, low.b)
-            assert (pre.high_a[k], pre.high_b[k]) == (high.a, high.b)
+            # Each half in its own coordinates: (b, a) low, (a, b) high.
+            assert (pre.low.x[k], pre.low.y[k]) == (low.b, low.a)
+            assert (pre.high.x[k], pre.high.y[k]) == (high.a, high.b)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_prefixes_stabilize_past_the_support(self, kind):
         d = datum(kind, {(LOW, 2): 1, (HIGH, 1): 3})
         pre = path_prefixes(d, 9)
-        for arr in pre:
+        for arr in (*pre.low, *pre.high):
             assert len(set(arr[2:])) == 1
 
     @pytest.mark.parametrize("kind", KINDS)

@@ -61,7 +61,6 @@ from affmv.transition import (
     _delta_candidates,
     _edge_points,
     _ladder_leaves,
-    _next_support,
     _oracle_completions,
     clear_cache,
     complete_from_left,
@@ -446,22 +445,29 @@ def _reference_leaves(table, X, Y, nxt, wx, wy):
 
 def ladder_inputs(known, family):
     """The arguments `_dfs_completions` gives `_ladder_leaves` for the
-    unknown datum's `family` ladder."""
+    unknown datum's `family` ladder: the known half it pairs with."""
+    kind, w = known.kind, known.weight
+    kp = path_prefixes(known, weight_truncation_index(kind, w))
+    return kind, family, kp.low if family == HIGH else kp.high, w
+
+
+def reference_inputs(known, family):
+    """The same ladder as `_reference_leaves` reads it, in (x, y)
+    coordinates, (b, a) on the low ladder: a table of its roots, the
+    paired known prefixes X and Y, the next index nxt[k] >= k of the
+    known datum's support on the paired ladder (K+1 for none), and the
+    weight."""
     kind, w = known.kind, known.weight
     K = weight_truncation_index(kind, w)
     kp = path_prefixes(known, K)
+    table = ladder_table(kind, family, K)
+    paired = LOW if family == HIGH else HIGH
+    support = {e.k for e in known.real if e.family == paired}
+    nxt = [min([j for j in support if j >= k] + [K + 1]) for k in range(K + 2)]
     if family == HIGH:
-        return (kind, HIGH, kp.low_a, kp.low_b, _next_support(known, LOW, K), w.a, w.b)
-    return (kind, LOW, kp.high_b, kp.high_a, _next_support(known, HIGH, K), w.b, w.a)
-
-
-def reference_inputs(kind, family, X, Y, nxt, wx, wy):
-    """The same ladder as `_reference_leaves` reads it: a table of its
-    roots in (x, y) coordinates, (b, a) on the low ladder."""
-    table = ladder_table(kind, family, len(X) - 1)
-    if family == LOW:
-        table = [(b, a) for a, b in table]
-    return table, X, Y, nxt, wx, wy
+        return table, kp.low.y, kp.low.x, nxt, w.a, w.b
+    table = [(b, a) for a, b in table]
+    return table, kp.high.y, kp.high.x, nxt, w.b, w.a
 
 
 def expanded(leaves):
@@ -507,9 +513,9 @@ class TestForcedChain:
     @given(st.data())
     def test_leaves_equal_the_per_m1_walk(self, kind, family, data):
         known = data.draw(bounded_data(kind, max_height=300))
-        args = ladder_inputs(known, family)
-        assert sorted(expanded(_ladder_leaves(*args))) == sorted(
-            _reference_leaves(*reference_inputs(*args))
+        leaves = _ladder_leaves(*ladder_inputs(known, family))
+        assert sorted(expanded(leaves)) == sorted(
+            _reference_leaves(*reference_inputs(known, family))
         )
 
     def test_partners_are_pinned(self):

@@ -6,6 +6,8 @@ report type itself is pinned down.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affmv import crystal, transition
 from affmv.crystal import crystal_graph
@@ -16,6 +18,7 @@ from affmv.verify import (
     Report,
     _box_weights,
     _pairing,
+    _saito_formula,
     check_axioms,
     check_crystal_axioms,
     check_saito_formulas,
@@ -24,6 +27,7 @@ from affmv.verify import (
 )
 from conftest import KINDS
 from test_lusztig import count_data
+from test_transition import bounded_data
 
 SMALL_DEPTH = 4
 SMALL_BOXES = {
@@ -165,6 +169,20 @@ class TestNodeSweeps:
             rep.count("reflection nodes") + rep.count("starred reflection nodes")
         )
         assert rep.count("opposite pairing mismatches") > 0
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(deadline=None, max_examples=50)
+    @given(st.data())
+    def test_saito_formula_on_random_completions(self, kind, data):
+        """The operator formula equals the twist-defined reflection off
+        the graphs: on b = complete_from_right(d) for a random datum d
+        and on star(b), wherever the reflection is defined."""
+        d = data.draw(bounded_data(kind, max_height=60))
+        b = transition.complete_from_right(d)
+        for x in (b, crystal.star(b)):
+            for i in (0, 1):
+                if crystal.phi(i, x) == 0:
+                    assert _saito_formula(i, x, starred=False) == crystal.saito(i, x)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_crystal_axioms_pass_at_small_depth(self, kind):

@@ -13,6 +13,7 @@ invariant breach (the uniqueness promise failing would surface here).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -216,7 +217,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if all(r.passed for r in reports) else EXIT_FAIL
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and reused by `main`.
+
+    Parsing does not change the parser, and in-process callers run `main`
+    many times.
+    """
     parser = argparse.ArgumentParser(
         prog="affmv",
         description="Exact MV polytope computations for the rank-2 affine algebras.",

@@ -7,8 +7,10 @@ multiplicities instead: at each ladder index the MV condition settled
 there is linear in the one multiplicity being chosen, so it yields no
 value, one value or an interval directly.  The two ladders of the
 unknown datum are searched once each, iteratively, and joined on the
-weight they leave over, which must be a multiple of delta; runs of
-indices where the condition forces zero are skipped in one step.  The
+weight they leave over, which must be a multiple of delta.  A choice
+is pushed only if it survives the next index too, and a run of zero
+choices jumps straight to the first index where a nonzero one survives,
+so the walk costs time in the data's support, not in the weight.  The
 index-1 multiplicity enters only one term of the condition, so one pass
 per ladder follows the chain every later index forces: only the values
 where that chain reaches a new threshold are searched, each from there,
@@ -40,6 +42,7 @@ of the search itself.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import chain
 from typing import Iterable, Iterator
 
@@ -71,6 +74,7 @@ from .roots import (
     LOW,
     Algebra,
     RootVector,
+    delta,
     ladder_root,
     lean,
     length_ratio,
@@ -222,17 +226,6 @@ _Picks = tuple[tuple[int, int], ...]
 _Leaf = tuple[_Picks, int, int, int, int]
 
 
-def _next_support(V: HalfPath) -> list[int]:
-    """nxt[k], 1 <= k <= K+1: the first index j >= k where V's ladder has
-    an entry (x rises there), K+1 for none; the list has length K+2."""
-    xs = V.x
-    K = len(xs) - 1
-    nxt = [K + 1] * (K + 2)
-    for k in range(K, 0, -1):
-        nxt[k] = k if xs[k] != xs[k - 1] else nxt[k + 1]
-    return nxt
-
-
 def _ladder_leaves(
     kind: Algebra, family: str, V: HalfPath, w: RootVector
 ) -> Iterator[_Leaf]:
@@ -276,24 +269,54 @@ def _ladder_leaves(
     - A zero gap allows only m = 0.  If the known datum has no entry at
       k on the paired ladder, then at k+1 the gap is still 0 and c is
       unchanged (c moves only with the known entry at k+1), so m = 0
-      stays forced until the known datum's next support index nxt[k]
-      (`_next_support`).  The chain and the walks jump there; t makes
-      no record on the way.
-    - The same holds for a walk node with c == 0 where no root fits
-      under (rx, gap): up to nxt[k], c and the gap do not move.  Along
-      each run of a ladder (every k for sl2hat, the odd and the even k
-      for a2(2)) both coordinates of the root grow, so if neither the
-      root at k nor the one at k+1 fits, none up to nxt[k] does, m = 0
-      is forced and the node jumps to nxt[k].
+      stays forced until the known datum's next support index j >= k.
+      V.x rises exactly at the support, so j is a bisection of V.x.  The
+      chain and the walks jump there; t makes no record on the way.
+
+    At a walk node with c == 0, let (sx, sy) and (ax, ay) be the roots at
+    k and k+1.  A child m reaches k+1 with c' = dvy - m*sx and
+    gap' = g - m*sy, where dvy and g - gap are the known datum's steps
+    in y at k+1 and in x at k.  The search pushes only the children that
+    survive index k+1; the others would be pruned there:
+
+    - Lookahead.  A child survives if c' == 0, that is m*sx == dvy (m = 0
+      when dvy == 0), or if c' < 0 and its point at k+1 exists and fits:
+      m*sy + q*ay == g and m*sx + q*ax <= rx for some q >= 0, with
+      m*sy <= gap from index k.  Consecutive roots of a ladder have
+      sx*ay - sy*ax == 1, so -ax inverts sy mod ay: the point exists
+      exactly for m == -g*ax (mod ay), and it fits exactly for
+      m <= ay*rx - g*ax, since the x it uses with m is (m + g*ax)/ay.
+      So the survivors with c' < 0 are one residue class below a bound
+      and above dvy/sx, pushed at O(1) each.
+    - Zero path.  If the known datum has no entry at k or k+1, then along
+      m = 0 the node's state (c == 0, the gap, rx, ry) stays fixed up to
+      j > k, the index before the known datum's next entry, and every
+      index i < j has dvy == 0 and g == gap.  A child m > 0 at i
+      survives exactly when the x it uses with its point,
+      X = m*sx_i + q*sx_{i+1}, is an integer in
+      (gap*rho_{i+1}, min(rx, gap*rho_i)] with rho_i = sx_i/sy_i.  Every
+      root r_i is a positive multiple of (i*dx, (i-1)*dy), (dx, dy)
+      being delta in the ladder's coordinates, so rho_i =
+      dx*i / (dy*(i-1)) falls with i and these intervals tile leftwards.
+      With X0 = min(rx, floor(gap*rho_k)), the first index with such a
+      child is the least i >= k with gap*rho_{i+1} < X0, that is
+      i*(X0*dy - gap*dx) > gap*dx, and there is none if
+      X0*dy <= gap*dx.  The node moves there, or to j if that comes
+      first, and skips the indices between, which push only the m = 0
+      child.  This covers every m = 0 run, including those where no root
+      fits at all.
+    - No root at K fits under the weight (`weight_truncation_index`), so
+      a node at K is a leaf with m = 0.
 
     Each walked record gets its own stack, so memory stays bounded
     however large m1 grows.
     """
     Vx, Vy = V
     K = len(Vx) - 1
-    nxt = _next_support(V)
     swap = family == LOW
     wx, wy = (w.b, w.a) if swap else (w.a, w.b)
+    d = delta(kind)
+    dx, dy = (d.b, d.a) if swap else (d.a, d.b)
 
     def root(k: int) -> tuple[int, int]:
         sx, sy = ladder_root(kind, family, k)
@@ -311,7 +334,7 @@ def _ladder_leaves(
             starts.append((t, k, cx, cy, len(forced)))
         gap = Vx[k - 1] - cy
         if gap == 0:
-            k = max(k + 1, nxt[k])
+            k = max(k + 1, bisect_right(Vx, Vx[k - 1], k))
             continue
         sx, sy = root(k)
         m, r = divmod(gap, sy)
@@ -335,7 +358,8 @@ def _ladder_leaves(
                 continue
             gap = Vx[k - 1] - (wy - ry)
             if gap == 0:
-                stack.append((max(k + 1, nxt[k]), rx, ry, picks))
+                j = bisect_right(Vx, Vx[k - 1], k)
+                stack.append((max(k + 1, j), rx, ry, picks))
                 continue
             sx, sy = ladder_root(kind, family, k)  # root(k), inlined: once per node
             if swap:
@@ -345,16 +369,35 @@ def _ladder_leaves(
                 if not r and q * sx <= rx:
                     stack.append((k + 1, rx - q * sx, ry - gap, picks + ((k, q),)))
                 continue
-            top = min(gap // sy, rx // sx)
-            if top == 0 and nxt[k] > k + 1:
-                ax, ay = root(k + 1)
-                if ax > rx or ay > gap:
-                    stack.append((nxt[k], rx, ry, picks))
-                    continue
-            for m in range(top, -1, -1):
-                stack.append(
-                    (k + 1, rx - m * sx, ry - m * sy, picks + ((k, m),) if m else picks)
-                )
+            if k < K and Vx[k + 1] == Vx[k - 1]:
+                # Along m = 0 this state holds up to j, the index before the
+                # next known entry: go to the first index with a nonzero
+                # survivor, or to j.
+                j = bisect_right(Vx, Vx[k], k + 2) - 1
+                e = min(rx, gap * sx // sy) * dy - gap * dx
+                if e > 0:
+                    j = min(j, max(k, gap * dx // e + 1))
+                if j > k:
+                    k = j
+                    sx, sy = root(k)
+            if k == K:
+                yield picks, m1, m1, rx + m1, ry
+                continue
+            # The children that survive index k+1, in descending m: those
+            # with c' < 0 on one residue class mod ay, then the one c' == 0.
+            ax, ay = root(k + 1)
+            dvy = Vy[k + 1] - Vy[k]
+            g = gap + Vx[k] - Vx[k - 1]
+            m = min(gap // sy, ay * rx - g * ax)
+            m -= (m + g * ax) % ay
+            low = dvy // sx
+            while m > low:
+                stack.append((k + 1, rx - m * sx, ry - m * sy, picks + ((k, m),)))
+                m -= ay
+            if low * sx == dvy and low * sy <= gap and dvy <= rx:
+                if low:
+                    picks += ((k, low),)
+                stack.append((k + 1, rx - dvy, ry - low * sy, picks))
 
     if whole and T < wx - cx:
         yield tuple(forced), T + 1, wx - cx, wx - cx, wy - cy
@@ -451,8 +494,9 @@ def _dfs_completions(known: LusztigDatum) -> list[LusztigDatum]:
     divmod, no filtering.  Index 1 has no condition, and its
     multiplicity m1 enters only c, so the search walks only the m1 where
     the forced chain reaches a new threshold, starting there, and yields
-    every m1 past the last threshold as one interval leaf; runs of
-    indices where m = 0 is forced are jumped (`_ladder_leaves`).
+    every m1 past the last threshold as one interval leaf.  Only the m
+    that survive index k+1 are pushed, and runs of m = 0 are jumped to
+    the first index where a nonzero m survives (`_ladder_leaves`).
 
     The low ladder never reads the high choices, so each ladder is
     searched once, both bounded by the weight.  A high leaf leaves

@@ -20,8 +20,8 @@ from .lusztig import (
     trapezoid_datum,
     twist_s,
 )
-from .polytope import DecoratedPolytope, HalfPath, mv_violations, pairing_defect
-from .polytope import path_prefixes, vertices, weight_truncation_index
+from .polytope import DecoratedPolytope, HalfPath, _edge_violations, pairing_defect
+from .polytope import path_prefixes, vertical_edge, vertices, weight_truncation_index
 from .roots import (
     ALPHA0,
     ALPHA1,
@@ -128,8 +128,11 @@ def _pairing(kind: Algebra, data: Sequence[LusztigDatum], K: int) -> list[list[i
     and many data share a half: at the top weight of the sl2hat box
     (6,6), 134 data have 30 distinct halves of each kind.  A pair whose
     halves fail either scan fails the full check at that same scan, so
-    its entry is False; every other pair runs the full check, whose
-    verdict is the entry.  Hence the rows are exactly the full check's.
+    its entry is False.  Every other pair passes conditions 1 and 2, so
+    the full check's verdict is that of conditions 3 and 4 alone
+    (`polytope._edge_violations` on the two `vertical_edge`s), which
+    gives the entry without scanning the halves again.  Hence the rows
+    are exactly the full check's.
     """
     prefixes = [path_prefixes(d, K) for d in data]
     lows: dict[HalfPath, int] = {}
@@ -149,7 +152,14 @@ def _pairing(kind: Algebra, data: Sequence[LusztigDatum], K: int) -> list[list[i
                 for j, (right, R) in enumerate(zip(data, prefixes))
                 if ok1[low_of[j]]
                 and ok2[high_of[j]]
-                and not mv_violations(kind, L, R, left.delta, right.delta, True)
+                and not _edge_violations(
+                    kind,
+                    vertical_edge(L.high.end, R.low.end),
+                    vertical_edge(R.high.end, L.low.end),
+                    left.delta,
+                    right.delta,
+                    True,
+                )
             ]
         )
     return rows

@@ -455,6 +455,19 @@ class TestUsage:
             cli.main(["verify", "everything", "--kind", "sl2hat"])
         assert exc.value.code == 2
 
+    def test_the_parser_is_reused_across_calls(self, capsys):
+        """`main` builds its parser once per process: a usage error
+        between two runs of one command leaves both runs' bytes equal."""
+        argv = ["op", "e1 e0", "--kind", "sl2hat"]
+        first = run(capsys, *argv)
+        assert first[0] == cli.EXIT_OK and first[1]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["op", "e1", "--kind", "bogus"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert run(capsys, *argv) == first
+        assert cli._parser() is cli._parser()
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -316,6 +316,24 @@ class TestLadders:
                 assert beta(kind, family, k) == r
 
     @pytest.mark.parametrize("kind", KINDS)
+    def test_consecutive_roots_form_a_basis_toward_delta(self, kind):
+        """In a ladder's own coordinates, (a, b) on the high ladder and
+        (b, a) on the low one, the root at k is a positive multiple of
+        (k*dx, (k-1)*dy), where (dx, dy) is delta there, and consecutive
+        roots have determinant 1, as the transition walk assumes."""
+        for family in FAMILIES:
+
+            def own(v):
+                return (v[1], v[0]) if family == LOW else (v[0], v[1])
+
+            dx, dy = own((delta(kind).a, delta(kind).b))
+            for k in range(1, 301):
+                sx, sy = own(ladder_root(kind, family, k))
+                ax, ay = own(ladder_root(kind, family, k + 1))
+                assert sx > 0 and sx * (k - 1) * dy == sy * k * dx
+                assert sx * ay - sy * ax == 1
+
+    @pytest.mark.parametrize("kind", KINDS)
     def test_weight_sums_the_ladder_roots(self, kind):
         box = SMALL_BOX[kind]
         for a in range(box.a + 1):

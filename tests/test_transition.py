@@ -9,10 +9,11 @@ thousands pin the search's independence from the recursion limit.
 The index-1 solve is checked leaf for leaf against one walk per
 multiplicity, DFS partners of seeded data up to height 300 are pinned
 by a digest, and single roots far up a ladder and delta=[20000] complete
-to their closed forms; the interval join of delta=[10^5] tries only the
-few values that can pass.  The completion cache stays within its bound
-and stores each solve both ways; tests of the search clear it so that
-T of a partner is searched, not read back.
+to their closed forms, and the trapezoid of delta=[20000] back to it;
+the interval join of delta=[10^5] tries only the few values that can
+pass.  The completion cache stays within its bound and stores each
+solve both ways; tests of the search clear it so that T of a partner is
+searched, not read back.
 """
 
 import hashlib
@@ -249,6 +250,16 @@ class TestLargeData:
             kind, lam
         )
 
+    @pytest.mark.parametrize("lam", ((20000,), (20000, 3, 1)), ids=("n", "n-3-1"))
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_large_trapezoids_complete_to_imaginary_data(self, kind, lam):
+        """The other direction: each ladder's walk jumps its zero path of
+        about 20,000 indices in one step."""
+        clear_cache()  # so that the trapezoid is searched, not read back
+        assert transition_l_to_r(trapezoid_datum(kind, lam)) == datum(
+            kind, delta_parts=lam
+        )
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_the_interval_join_tries_a_few_points(self, kind, monkeypatch):
         """delta=[10^5] joins two forced-tail intervals along a progression
@@ -355,6 +366,32 @@ def bounded_data(draw, kind, max_height=60):
             parts.append(part)
             height += cost
     return datum(kind, real, parts)
+
+
+@st.composite
+def heavy_data(draw, kind, max_height=600):
+    """A datum with up to two entries at ladder indices 2..12 and the
+    rest of a height from max_height/3 to max_height on the two simple
+    roots, as in a trapezoid: a small support under a heavy weight."""
+    height = draw(st.integers(max_height // 3, max_height))
+    real = {}
+    used = 0
+    entries = draw(
+        st.lists(
+            st.tuples(st.sampled_from(FAMILIES), st.integers(2, 12), st.integers(1, 3)),
+            max_size=2,
+        )
+    )
+    for family, k, mult in entries:
+        cost = mult * _height(beta(kind, family, k))
+        if used + cost <= height:
+            real[(family, k)] = real.get((family, k), 0) + mult
+            used += cost
+    low = draw(st.integers(0, height - used))
+    for family, mult in ((LOW, low), (HIGH, height - used - low)):
+        if mult:
+            real[(family, 1)] = mult
+    return datum(kind, real)
 
 
 def padded(d, w):
@@ -512,7 +549,9 @@ class TestForcedChain:
     @settings(deadline=None, max_examples=25)
     @given(st.data())
     def test_leaves_equal_the_per_m1_walk(self, kind, family, data):
-        known = data.draw(bounded_data(kind, max_height=300))
+        known = data.draw(
+            st.one_of(bounded_data(kind, max_height=300), heavy_data(kind))
+        )
         leaves = _ladder_leaves(*ladder_inputs(known, family))
         assert sorted(expanded(leaves)) == sorted(
             _reference_leaves(*reference_inputs(known, family))

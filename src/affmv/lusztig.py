@@ -22,9 +22,7 @@ from .roots import (
     beta,
     delta,
     ladder_root,
-    ladder_table,
     length_ratio,
-    max_real_index,
     root_label,
     simple_reflection,
 )
@@ -359,7 +357,7 @@ def trapezoid_datum(kind: Algebra, lam: Iterable[int]) -> LusztigDatum:
 
 
 def _ladder_choices(
-    kind: Algebra, family: str, table: Sequence[tuple[int, int]], ra: int, rb: int
+    kind: Algebra, family: str, ra: int, rb: int
 ) -> Iterator[tuple[tuple[RealEntry, ...], int, int]]:
     """The choices of multiplicities on one ladder that fit under (ra, rb).
 
@@ -367,8 +365,7 @@ def _ladder_choices(
     every choice on the low ladder, and on the high ladder, the last one,
     only those that leave a multiple of delta.  Multiplicities are chosen
     along the ladder, k ascending, smallest first, so choices come in
-    lexicographic order; `table` holds the ladder's roots
-    (`roots.ladder_table`) as far as any fits under (ra, rb).
+    lexicographic order.
 
     A root that does not fit the residual can only take multiplicity 0,
     and neither can any later root of its run (`roots._run_tops`), since
@@ -398,7 +395,7 @@ def _ladder_choices(
                 k += 1
                 if k > tops[k % len(tops)]:
                     break
-            sa, sb = table[k]
+            sa, sb = ladder_root(kind, family, k)
             top = min(ra // sa if sa else rb, rb // sb if sb else ra)
             if family == HIGH:
                 lack = ratio * ra - rb
@@ -433,16 +430,14 @@ def _real_parts(
     """
     if w.a < 0 or w.b < 0:
         return
-    top_k = max_real_index(kind, w)
-    low_table, high_table = (ladder_table(kind, f, top_k) for f in (LOW, HIGH))
     closings: dict[tuple[int, int], list[tuple[tuple[RealEntry, ...], int]]] = {}
-    for low, ra, rb in _ladder_choices(kind, LOW, low_table, w.a, w.b):
+    for low, ra, rb in _ladder_choices(kind, LOW, w.a, w.b):
         ends = closings.get((ra, rb))
         if ends is None:
             # The residual left is n*delta, and delta has a == 1.
             ends = closings[ra, rb] = [
                 (high, n)
-                for high, n, _ in _ladder_choices(kind, HIGH, high_table, ra, rb)
+                for high, n, _ in _ladder_choices(kind, HIGH, ra, rb)
             ]
         for high, n in ends:
             yield low + high, n

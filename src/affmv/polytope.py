@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .lusztig import LusztigDatum, Partition, RealEntry, largest_part, remove_part
+from .lusztig import _real_parts, partitions
 from .roots import HIGH, LOW, Algebra, RootVector, ladder_root, lean, length_ratio
 from .roots import max_real_index
 
@@ -33,10 +34,8 @@ __all__ = [
     "MVVerdict",
     "truncation_index",
     "weight_truncation_index",
-    "half_path",
     "path_prefixes",
     "vertices",
-    "pairing_defect",
     "vertical_edge",
     "mv_violations",
     "is_mv",
@@ -347,6 +346,100 @@ def _edge_violations(
             if first_only:
                 return bad
     return bad
+
+
+# (i, j, real, parts): the i-th datum of a weight, real part `real` and
+# partition `parts`, on the left of the j-th right datum passes.
+_Hit = tuple[int, int, tuple[RealEntry, ...], Partition]
+
+
+def _left_partners(
+    kind: Algebra, w: RootVector, rights: Sequence[LusztigDatum]
+) -> tuple[list[_Hit], int]:
+    """Every MV pair of a datum of weight w, on the left, with one of `rights`.
+
+    The left data are those of `enumerate_data(kind, w)`, walked in its
+    order without building them: each real part of `lusztig._real_parts`
+    with each partition of what it leaves.  The rights have weight w.
+    Returns the passing pairs as `_Hit`s, ascending in (i, j), and the
+    number of left data judged, which is the number of data of w.
+
+    A pair passes exactly when `mv_violations(..., first_only=True)` on
+    the prefixes truncated at `weight_truncation_index` finds nothing,
+    but that check runs on no pair.  Condition 1 pairs only the left
+    high half with the right low half, condition 2 only the left low
+    half with the right high half (`pairing_defect`), and neither reads
+    the partitions.  So each is scanned once per distinct left half
+    against each distinct right half, and many data share a half: at the
+    top weight of the sl2hat box (6,6), 134 data have 30 distinct halves
+    of each kind.  A half is keyed by its entries, and its `HalfPath` is
+    built once for the rights and the left data alike.  Condition 2 is
+    scanned only for a real part whose high half passes condition 1 with
+    some right datum.  A pair failing either scan fails the full check
+    there; every other pair passes conditions 1 and 2, so its verdict is
+    that of conditions 3 and 4 alone (`_edge_violations` on the two
+    `vertical_edge`s), run per partition.
+    """
+    K = weight_truncation_index(kind, w)
+    paths: dict = {}  # (family, half) -> its HalfPath, for the rights' halves
+
+    def path(family, half):
+        if (family, half) not in paths:
+            paths[family, half] = half_path(kind, half, family, K)
+        return paths[family, half]
+
+    right_lows: dict[HalfPath, list[int]] = {}
+    right_highs: dict[HalfPath, list[int]] = {}
+    ends = []  # per right: the ends of its low and its high half
+    for j, d in enumerate(rights):
+        cut = [entry.family for entry in d.real].count(LOW)  # low entries lead
+        R_low, R_high = path(LOW, d.real[:cut]), path(HIGH, d.real[cut:])
+        right_lows.setdefault(R_low, []).append(j)
+        right_highs.setdefault(R_high, []).append(j)
+        ends.append((R_low.end, R_high.end))
+
+    def scan(memo, half, family, paired):
+        """Memoize one left half's end and the rights whose `paired` half it
+        pairs with; the pair is never false, so `memo.get(half) or` skips it.
+
+        A half no right has is built here and not kept: holding every path
+        costs the one-right oracle more than building it does.
+        """
+        U = paths.get((family, half)) or half_path(kind, half, family, K)
+        memo[half] = hit = U.end, {
+            j for V, js in paired.items() if pairing_defect(U, V) is None for j in js
+        }
+        return hit
+
+    high_memo: dict = {}  # left half -> (its end, the rights it pairs with)
+    low_memo: dict = {}
+    sizes: dict[int, int] = {}  # number of partitions of n
+    hits: list[_Hit] = []
+    i = 0
+    for real, n in _real_parts(kind, w):
+        cut = [entry.family for entry in real].count(LOW)
+        high, low = real[cut:], real[:cut]
+        high_end, ok1 = high_memo.get(high) or scan(high_memo, high, HIGH, right_lows)
+        both: list[int] = []
+        if ok1:
+            low_end, ok2 = low_memo.get(low) or scan(low_memo, low, LOW, right_highs)
+            both = sorted(ok1 & ok2)
+        if not both:
+            if n not in sizes:
+                sizes[n] = sum(1 for _ in partitions(n))
+            i += sizes[n]
+            continue
+        edges = []
+        for j in both:
+            d1 = vertical_edge(high_end, ends[j][0])
+            d2 = vertical_edge(ends[j][1], low_end)
+            edges.append((j, d1, d2, rights[j].delta))
+        for parts in partitions(n):
+            for j, d1, d2, lam in edges:
+                if not _edge_violations(kind, d1, d2, parts, lam, True):
+                    hits.append((i, j, real, parts))
+            i += 1
+    return hits, i
 
 
 def is_mv(P: DecoratedPolytope) -> MVVerdict:

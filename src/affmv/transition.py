@@ -1,11 +1,13 @@
 """The transition map: the unique MV partner of a Lusztig datum.
 
-Two solvers are shipped.  The oracle enumerates every datum of the
-right weight and keeps those that pass the MV check; it is the
-generate-and-test reference.  The production solver solves for the
-multiplicities instead: at each ladder index the MV condition settled
-there is linear in the one multiplicity being chosen, so it yields no
-value, one value or an interval directly.  The two ladders of the
+Two solvers are shipped.  The oracle judges every datum of the right
+weight against the known one and keeps those that pass the MV check;
+it is the generate-and-test reference, and its scan
+(`polytope._left_partners`) is the one the uniqueness sweep of
+`verify` runs against every datum of a weight.  The production solver
+solves for the multiplicities instead: at each ladder index the MV
+condition settled there is linear in the one multiplicity being chosen,
+so it yields no value, one value or an interval directly.  The two ladders of the
 unknown datum are searched once each, iteratively, and joined on the
 weight they leave over, which must be a multiple of delta.  A choice
 is pushed only if it survives the next index too, and a run of zero
@@ -16,8 +18,8 @@ per ladder follows the chain every later index forces: only the values
 where that chain reaches a new threshold are searched, each from there,
 and every value past the last threshold is one interval, which the join
 solves for, trying only the few values where the vertical-edge condition
-can pass.  The leftover closes off with the handful of partitions that
-condition allows.
+can pass.  The leftover closes off with the one partition that
+condition can allow, if any.
 Both solvers assert that exactly one completion exists and abort loudly
 if the search ever contradicts that.
 
@@ -44,26 +46,21 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .lusztig import (
     LusztigDatum,
     Partition,
     RealEntry,
     _derived,
-    _real_parts,
     add_part,
-    partitions,
     remove_part,
 )
 from .polytope import (
     DecoratedPolytope,
-    HalfPath,
-    _edge_violations,
+    _left_partners,
     _pair,
-    half_path,
     mv_violations,
-    pairing_defect,
     part_size_ratio,
     path_prefixes,
     vertical_edge,
@@ -167,56 +164,17 @@ def _oracle_completions(known: LusztigDatum) -> tuple[list[LusztigDatum], int]:
     """Generate and test: every datum of the same weight gets an MV verdict.
 
     The candidates, placed on the left, are the data of `enumerate_data`
-    in its order, walked without building them: each real part of
-    `lusztig._real_parts` with each partition of what it leaves.
-    Conditions 1 and 2 do not read the partition, and each pairs one
-    half of the candidate with one of `known` (`polytope.pairing_defect`),
-    so, as in `verify._pairing`, each is scanned once per distinct half
-    and holds for every candidate with it.  The candidates of a real part
-    failing either condition fail with every partition; for a real part
-    passing both, conditions 3 and 4 run on each partition.
-    Only a candidate passing all four is built as a datum.
+    in its order, judged against `known` by `polytope._left_partners`
+    without being built; only a candidate that passes is built as a
+    datum.
 
     Returns the passing data and the number of candidates judged, which
     is the number of data of the weight.
     """
     kind = known.kind
     w = known.weight
-    K = weight_truncation_index(kind, w)
-    kp = path_prefixes(known, K)
-
-    def half_end(memo, half, family, V):
-        """The end of one half of the candidate if its pairing with V holds."""
-        if half not in memo:
-            U = half_path(kind, half, family, K)
-            memo[half] = U.end if pairing_defect(U, V) is None else None
-        return memo[half]
-
-    cond1: dict[tuple[RealEntry, ...], tuple[int, int] | None] = {}
-    cond2: dict[tuple[RealEntry, ...], tuple[int, int] | None] = {}
-    sizes: dict[int, int] = {}  # number of partitions of n
-    found: list[LusztigDatum] = []
-    judged = 0
-    for real, n in _real_parts(kind, w):
-        cut = sum(entry.family == LOW for entry in real)  # low entries lead
-        # Condition 1: the candidate's high half against the known low
-        # half; condition 2: its low half against the known high half.
-        high_end = half_end(cond1, real[cut:], HIGH, kp.low)
-        low_end = None
-        if high_end is not None:
-            low_end = half_end(cond2, real[:cut], LOW, kp.high)
-        if low_end is None:
-            if n not in sizes:
-                sizes[n] = sum(1 for _ in partitions(n))
-            judged += sizes[n]
-            continue
-        d1 = vertical_edge(high_end, kp.low.end)
-        d2 = vertical_edge(kp.high.end, low_end)
-        for parts in partitions(n):
-            judged += 1
-            if not _edge_violations(kind, d1, d2, parts, known.delta, True):
-                found.append(_derived(kind, real, parts, w))
-    return found, judged
+    hits, judged = _left_partners(kind, w, [known])
+    return [_derived(kind, real, parts, w) for _, _, real, parts in hits], judged
 
 
 _Picks = tuple[tuple[int, int], ...]
@@ -227,11 +185,15 @@ _Leaf = tuple[_Picks, int, int, int, int]
 
 
 def _ladder_leaves(
-    kind: Algebra, family: str, V: HalfPath, w: RootVector
+    kind: Algebra,
+    family: str,
+    V: tuple[tuple[int, ...], tuple[int, ...]],
+    w: RootVector,
 ) -> Iterator[_Leaf]:
     """The choices on the unknown datum's `family` ladder that pass its condition.
 
-    V is the known datum's half on the paired ladder.  A choice U passes
+    V is the known datum's half on the paired ladder, the (x, y) of a
+    `polytope.HalfPath`.  A choice U passes
     when `polytope.pairing_defect(U, V)` finds no k and U fits under the
     weight, (wx, wy) in the ladder's own coordinates, as are the roots
     the search reads with `roots.ladder_root` at the indices it visits
@@ -409,8 +371,10 @@ def _delta_candidates(
     """The partitions of n the vertical-edge condition could accept.
 
     Either both decorations agree, or the unknown one is the known
-    partition lam with one part of the prescribed gap size added or
-    removed; no other shape can pass the final check.
+    partition lam with one part of the prescribed gap size s >= 1 added
+    or removed; no other shape can pass the final check.  The three
+    shapes have the distinct sizes |lam|, |lam| - s and |lam| + s, so at
+    most one is returned.
     """
     out: list[Partition] = []
     if sum(lam) == n:
@@ -419,13 +383,9 @@ def _delta_candidates(
     if num > 0 and num % den == 0:
         s = num // den
         if s in lam and sum(lam) - s == n:
-            cand = remove_part(lam, s)
-            if cand not in out:
-                out.append(cand)
+            out.append(remove_part(lam, s))
         if sum(lam) + s == n:
-            cand = add_part(lam, s)
-            if cand not in out:
-                out.append(cand)
+            out.append(add_part(lam, s))
     return out
 
 
@@ -511,7 +471,7 @@ def _dfs_completions(known: LusztigDatum) -> list[LusztigDatum]:
     points are tabled by lean; a low point joins those with its lean and
     the high interval, and the low interval joins every high leaf.  The
     low leaves are streamed, so a heavy alpha1 costs no memory.  The
-    leftover admits at most three candidate partitions.
+    leftover admits at most one candidate partition.
 
     Every assembled pair still runs the full MV check, so solving and
     skipping only ever affect speed, not the answer.
@@ -550,12 +510,11 @@ def _dfs_completions(known: LusztigDatum) -> list[LusztigDatum]:
             base = hb - ub - ratio * (ha - ua)
             first = max(hlo, -((base - lo) // ratio))
             last = min(hhi, ha - ua, (hi - base) // ratio)
+            if first > last:
+                continue
             # The unknown high half ends at w - r (`HalfPath.end`).
-            m1s: Iterable[int] = range(first, last + 1)
-            if first < last:
-                d1 = vertical_edge((w.a - ha + first, w.b - hb), low_end)
-                m1s = _edge_points(kind, known.delta, first, last, ha - first - ua, d1)
-            for m1 in m1s:
+            d1 = vertical_edge((w.a - ha + first, w.b - hb), low_end)
+            for m1 in _edge_points(kind, known.delta, first, last, ha - first - ua, d1):
                 n = ha - m1 - ua  # r - u == n*delta, and delta has a == 1
                 d1 = vertical_edge((w.a - ha + m1, w.b - hb), low_end)
                 for parts in _delta_candidates(kind, known.delta, n, d1):

@@ -9,19 +9,17 @@ deterministic text.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from . import crystal
 from .crystal import CrystalGraph, crystal_graph
 from .lusztig import (
-    LusztigDatum,
     enumerate_data,
     is_purely_imaginary,
     trapezoid_datum,
     twist_s,
 )
-from .polytope import DecoratedPolytope, HalfPath, _edge_violations, pairing_defect
-from .polytope import path_prefixes, vertical_edge, vertices, weight_truncation_index
+from .polytope import DecoratedPolytope, _left_partners, vertices
 from .roots import (
     ALPHA0,
     ALPHA1,
@@ -116,97 +114,40 @@ def _box_weights(box: RootVector) -> list[RootVector]:
     return weights
 
 
-def _pairing(kind: Algebra, data: Sequence[LusztigDatum], K: int) -> list[list[int]]:
-    """Row i lists, ascending, the j with (data[i], data[j]) MV.
-
-    Entry (i, j) is `not mv_violations(..., first_only=True)` on the
-    prefixes truncated at K, computed without running that check on all
-    n^2 pairs.  Condition 1 pairs only the left datum's high half with
-    the right datum's low half, and condition 2 only the left low half
-    with the right high half (`pairing_defect`).  So both conditions are
-    scanned once per distinct (high, low) and (low, high) pair of halves,
-    and many data share a half: at the top weight of the sl2hat box
-    (6,6), 134 data have 30 distinct halves of each kind.  A pair whose
-    halves fail either scan fails the full check at that same scan, so
-    its entry is False.  Every other pair passes conditions 1 and 2, so
-    the full check's verdict is that of conditions 3 and 4 alone
-    (`polytope._edge_violations` on the two `vertical_edge`s), which
-    gives the entry without scanning the halves again.  Hence the rows
-    are exactly the full check's.
-    """
-    prefixes = [path_prefixes(d, K) for d in data]
-    lows: dict[HalfPath, int] = {}
-    highs: dict[HalfPath, int] = {}
-    low_of = [lows.setdefault(p.low, len(lows)) for p in prefixes]
-    high_of = [highs.setdefault(p.high, len(highs)) for p in prefixes]
-    # pass1[h][l]: condition 1 holds for left high half h, right low half l;
-    # pass2[l][h]: condition 2 holds for left low half l, right high half h.
-    pass1 = [[pairing_defect(h, low) is None for low in lows] for h in highs]
-    pass2 = [[pairing_defect(low, h) is None for h in highs] for low in lows]
-    rows = []
-    for i, (left, L) in enumerate(zip(data, prefixes)):
-        ok1, ok2 = pass1[high_of[i]], pass2[low_of[i]]
-        rows.append(
-            [
-                j
-                for j, (right, R) in enumerate(zip(data, prefixes))
-                if ok1[low_of[j]]
-                and ok2[high_of[j]]
-                and not _edge_violations(
-                    kind,
-                    vertical_edge(L.high.end, R.low.end),
-                    vertical_edge(R.high.end, L.low.end),
-                    left.delta,
-                    right.delta,
-                    True,
-                )
-            ]
-        )
-    return rows
-
-
 def check_uniqueness(kind: Algebra, box: RootVector) -> Report:
     """Every datum in the box has exactly one completion on either side.
 
-    For each weight the full pairing matrix of the baseline check is
-    computed (`_pairing`); rows and columns must contain exactly one
-    passing partner, the matrix must be symmetric under the side swap,
-    and the pruned search must return exactly the baseline partner both
+    For each weight every pair of data gets the baseline check's verdict
+    from one scan (`polytope._left_partners`, with the data of the weight
+    as the rights); each datum must have exactly one passing partner on
+    either side, the verdicts must be symmetric under the side swap, and
+    the pruned search must return exactly the baseline partner both
     ways: its one answer T(d), searched anew for every datum rather
-    than read from the cache, is compared with the row and the column
+    than read from the cache, is compared with the right and the left
     partner.
     """
     t = _Tally()
     for w in _box_weights(box):
         data = enumerate_data(kind, w)
-        rows = _pairing(kind, data, weight_truncation_index(kind, w))
         n = len(data)
         t.hit("weights checked")
         t.hit("data checked", n)
         t.hit("pair checks", n * n)
-        col_counts = [0] * n
-        row_partner = [-1] * n
-        col_partner = [-1] * n
-        for i, hits in enumerate(rows):
-            if len(hits) != 1:
-                t.hit("completion count failures")
-                t.fail(
-                    f"weight {w}: left datum #{i} {data[i]} has "
-                    f"{len(hits)} right completions"
-                )
-            else:
-                row_partner[i] = hits[0]
-            for j in hits:
-                col_counts[j] += 1
-                col_partner[j] = i
-        for j in range(n):
-            if col_counts[j] != 1:
-                t.hit("completion count failures")
-                t.fail(
-                    f"weight {w}: right datum #{j} {data[j]} has "
-                    f"{col_counts[j]} left completions"
-                )
-        passing = {(i, j) for i, hits in enumerate(rows) for j in hits}
+        pairs = [(i, j) for i, j, _, _ in _left_partners(kind, w, data)[0]]
+        # partners[side][i]: the passing partners of datum i on that side.
+        partners = {"right": [[] for _ in data], "left": [[] for _ in data]}
+        for i, j in pairs:
+            partners["right"][i].append(j)
+            partners["left"][j].append(i)
+        for own, side in (("left", "right"), ("right", "left")):
+            for i, hits in enumerate(partners[side]):
+                if len(hits) != 1:
+                    t.hit("completion count failures")
+                    t.fail(
+                        f"weight {w}: {own} datum #{i} {data[i]} has "
+                        f"{len(hits)} {side} completions"
+                    )
+        passing = set(pairs)
         for i, j in sorted(passing ^ {(j, i) for i, j in passing}):
             t.hit("swap symmetry failures")
             t.fail(f"weight {w}: pair ({i},{j}) verdict differs after side swap")
@@ -221,8 +162,9 @@ def check_uniqueness(kind: Algebra, box: RootVector) -> Report:
                 t.hit("dfs mismatches")
                 t.fail(f"weight {w}: pruned solver failed on {d}: {err}")
                 continue
-            for side, partner in (("right", row_partner[i]), ("left", col_partner[i])):
-                if partner < 0 or got != data[partner]:
+            for side in ("right", "left"):
+                hits = partners[side][i]
+                if len(hits) != 1 or got != data[hits[0]]:
                     t.hit("dfs mismatches")
                     t.fail(
                         f"weight {w}: pruned {side} completion of {d} "

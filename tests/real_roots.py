@@ -1,18 +1,36 @@
-"""Box listings of the positive real roots, and delta multiples.
+"""Tables and box listings of the positive real roots, and delta multiples.
 
-The library walks the ladders through `ladder_table` and
+The library walks the ladders through `ladder_root` and
 `max_real_index`; these listings serve the tests only.
 """
 
 from typing import NamedTuple
 
-from affmv.roots import FAMILIES, Algebra, RootVector, beta, delta, max_real_index
+from affmv.roots import (
+    FAMILIES,
+    Algebra,
+    RootVector,
+    beta,
+    delta,
+    ladder_root,
+    max_real_index,
+)
 
 
 class LabeledRoot(NamedTuple):
     root: RootVector
     family: str
     k: int
+
+
+def ladder_table(kind: Algebra, family: str, upto: int) -> tuple[tuple[int, int], ...]:
+    """`ladder_root` for k = 0..upto, with (0, 0) at k = 0.
+
+    Entry 0 matches the indexing of the prefix arrays in `polytope`.
+    """
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    return ((0, 0), *(ladder_root(kind, family, k) for k in range(1, upto + 1)))
 
 
 def positive_real_roots(kind: Algebra, box: RootVector) -> list[LabeledRoot]:

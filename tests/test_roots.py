@@ -26,7 +26,6 @@ from affmv.roots import (
     cartan_pair,
     delta,
     ladder_root,
-    ladder_table,
     lean,
     length_ratio,
     max_real_index,
@@ -35,7 +34,7 @@ from affmv.roots import (
     symmetrized_form,
 )
 from conftest import KINDS, SMALL_BOX
-from real_roots import delta_multiple, positive_real_roots
+from real_roots import delta_multiple, ladder_table, positive_real_roots
 
 BOX = {
     Algebra.SL2_HAT: RootVector(8, 8),

@@ -52,7 +52,6 @@ from affmv.roots import (
     beta,
     delta,
     ladder_root,
-    ladder_table,
 )
 from affmv import transition
 from affmv.transition import (
@@ -69,6 +68,7 @@ from affmv.transition import (
     transition_l_to_r,
 )
 from conftest import KINDS, REFERENCE_WEIGHT
+from real_roots import ladder_table
 from test_lusztig import count_data
 
 TINY_BOX = {
@@ -300,6 +300,12 @@ class TestLargeData:
             every = [(m1, at(m1)) for m1 in range(lo, hi + 1)]
             points = [(m1, at(m1)) for m1 in _edge_points(kind, lam, lo, hi, n, d1)]
             assert [p for p in points if p[1]] == [p for p in every if p[1]]
+            # The join narrows one-point ranges too: each keeps its m1
+            # wherever that passes.
+            for m1, found in every:
+                t = m1 - lo
+                one = _edge_points(kind, lam, m1, m1, n - t, RootVector(d1.a - t, d1.b))
+                assert set(one) <= {m1} and (m1 in one or not found), m1
 
 
 class TestPlumbing:

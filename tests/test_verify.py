@@ -12,12 +12,16 @@ from hypothesis import strategies as st
 from affmv import crystal, transition
 from affmv.crystal import crystal_graph
 from affmv.lusztig import enumerate_data
-from affmv.polytope import mv_violations, path_prefixes, weight_truncation_index
+from affmv.polytope import (
+    _left_partners,
+    mv_violations,
+    path_prefixes,
+    weight_truncation_index,
+)
 from affmv.roots import Algebra, RootVector
 from affmv.verify import (
     Report,
     _box_weights,
-    _pairing,
     _saito_formula,
     check_axioms,
     check_crystal_axioms,
@@ -97,7 +101,7 @@ class TestUniqueness:
 
 
 class TestPairing:
-    """The half-path pairing against the n^2 brute-force matrix."""
+    """The shared half-path scan against the n^2 brute-force matrix."""
 
     BOXES = {
         Algebra.SL2_HAT: RootVector(6, 6),
@@ -118,7 +122,13 @@ class TestPairing:
                 ]
                 for i, dl in enumerate(data)
             ]
-            assert _pairing(kind, data, K) == brute, w
+            hits, judged = _left_partners(kind, w, data)
+            assert judged == len(data), w
+            rows = [[] for _ in data]
+            for i, j, real, parts in hits:
+                assert (real, parts) == (data[i].real, data[i].delta), w
+                rows[i].append(j)
+            assert rows == brute, w
             # The paper's uniqueness: one partner per row and per column,
             # so a fault shared by both sides still shows.
             partners = [row[0] for row in brute if len(row) == 1]

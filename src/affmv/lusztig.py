@@ -8,7 +8,6 @@ exhaustive enumeration of all data at a fixed weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .roots import (
@@ -18,9 +17,9 @@ from .roots import (
     Algebra,
     RootVector,
     _check_node,
+    _new,
     _run_tops,
-    beta,
-    delta,
+    delta as _delta_root,
     ladder_root,
     length_ratio,
     root_label,
@@ -137,10 +136,6 @@ class RealEntry(NamedTuple):
     mult: int
 
 
-def _family_rank(family: str) -> int:
-    return 0 if family == LOW else 1
-
-
 def _check_entry(family: object, k: object, mult: object, least: int = 1) -> None:
     """The rule for a stored real entry: a known ladder, exact integers >= 1.
 
@@ -155,52 +150,61 @@ def _check_entry(family: object, k: object, mult: object, least: int = 1) -> Non
         raise ValueError(f"multiplicity must be an integer >= {least}, got {mult!r}")
 
 
-class _memo:
-    """A `cached_property` that keeps CPython's compact instance layout.
-
-    `functools.cached_property` stores its value through the instance
-    `__dict__`, which makes CPython materialize a full per-instance dict
-    and more than doubles a small object's size.  This one stores it
-    with `object.__setattr__`, as a dataclass `__init__` sets fields, so
-    it also works on frozen dataclasses.  It has no `__set__`, so the
-    stored attribute shadows it from then on.
-    """
-
-    def __init__(self, func):
-        self.func = func
-        self.name = func.__name__
-        self.__doc__ = func.__doc__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = self.func(obj)
-        object.__setattr__(obj, self.name, value)
-        return value
+def _canonical(entry: tuple[str, int, int] | tuple[str, int]) -> tuple[int, int]:
+    """Sort key of a real entry or a (family, k) label: low ladder first, k up."""
+    return (0 if entry[0] == LOW else 1), entry[1]
 
 
-@dataclass(frozen=True)
-class LusztigDatum:
+class _DatumFields(NamedTuple):
+    kind: Algebra
+    real: tuple[RealEntry, ...]
+    delta: Partition
+    weight: RootVector
+
+
+class LusztigDatum(_DatumFields):
     """Multiplicities on the real roots plus the imaginary partition.
 
     `real` is kept in canonical order: low ladder first, ascending k,
     every multiplicity >= 1.  Two data are equal iff their canonical
     forms agree, so instances are hashable and safe as cache keys.
+
+    A tuple whose fourth field is the weight, the sum of all roots of
+    the datum counted with multiplicity, computed once on construction.
+    It follows from the other three, so it changes no comparison, and
+    `repr` and the pickled arguments leave it out.
     """
 
-    kind: Algebra
-    real: tuple[RealEntry, ...] = ()
-    delta: Partition = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(
+        cls, kind: Algebra, real: tuple[RealEntry, ...] = (), delta: Partition = ()
+    ) -> "LusztigDatum":
         prev = None
-        for family, k, mult in self.real:
+        for family, k, mult in real:
             _check_entry(family, k, mult)
-            key = (_family_rank(family), k)
+            key = _canonical((family, k))
             if prev is not None and key <= prev:
-                raise ValueError(f"real entries out of canonical order: {self.real!r}")
+                raise ValueError(f"real entries out of canonical order: {real!r}")
             prev = key
-        _check_partition(self.delta)
+        _check_partition(delta)
+        n = sum(delta)
+        a, b = _delta_root(kind)
+        a, b = n * a, n * b
+        for family, k, mult in real:
+            ra, rb = ladder_root(kind, family, k)
+            a += mult * ra
+            b += mult * rb
+        return _new(cls, (kind, real, delta, RootVector(a, b)))
+
+    def __getnewargs__(self) -> tuple[Algebra, tuple[RealEntry, ...], Partition]:
+        return self[:3]
+
+    def __repr__(self) -> str:
+        return (
+            f"LusztigDatum(kind={self.kind!r}, real={self.real!r}, "
+            f"delta={self.delta!r})"
+        )
 
     def mult(self, family: str, k: int) -> int:
         for entry in self.real:
@@ -217,29 +221,13 @@ class LusztigDatum:
         kept = [e for e in self.real if (e.family, e.k) != (family, k)]
         if mult != 0 or type(mult) is not int:  # only an exact 0 drops it
             kept.append(RealEntry(family, k, mult))
-        kept.sort(key=lambda e: (_family_rank(e.family), e.k))
+        kept.sort(key=_canonical)
         return LusztigDatum(self.kind, tuple(kept), self.delta)
 
     @property
     def is_zero(self) -> bool:
         return not self.real and not self.delta
 
-    @_memo
-    def weight(self) -> RootVector:
-        """Sum of all roots of the datum, counted with multiplicity.
-
-        Computed on first use and kept as an attribute outside the
-        fields, so equality, hashing and repr do not see it.  Data built
-        by `_derived` carry it from construction.
-        """
-        n = sum(self.delta)
-        dv = delta(self.kind)
-        a, b = n * dv.a, n * dv.b
-        for family, k, mult in self.real:
-            ra, rb = ladder_root(self.kind, family, k)
-            a += mult * ra
-            b += mult * rb
-        return RootVector(a, b)
 
 
 def _derived(
@@ -249,19 +237,10 @@ def _derived(
 
     No check runs: the caller guarantees that `real` holds RealEntry
     triples in canonical order with multiplicities >= 1, that `delta` is
-    a partition and that `weight` is the datum's weight.  The weight is
-    stored as an instance attribute, where the `weight` memo would keep
-    it, so the memo is never entered.  Attributes are set one by one, as
-    the dataclass `__init__` and the memo do, rather than through
-    `__dict__`: that keeps CPython's compact per-instance layout.  Inputs
-    from outside go through `LusztigDatum(...)` or `datum()` instead.
+    a partition and that `weight` is the datum's weight.  Inputs from
+    outside go through `LusztigDatum(...)` or `datum()` instead.
     """
-    d = object.__new__(LusztigDatum)
-    object.__setattr__(d, "kind", kind)
-    object.__setattr__(d, "real", real)
-    object.__setattr__(d, "delta", delta)
-    object.__setattr__(d, "weight", weight)
-    return d
+    return _new(LusztigDatum, (kind, real, delta, weight))
 
 
 def datum(
@@ -290,7 +269,7 @@ def datum(
             entries[label] = entries.get(label, 0) + mult
     ordered = tuple(
         RealEntry(family, k, entries[(family, k)])
-        for family, k in sorted(entries, key=lambda lab: (_family_rank(lab[0]), lab[1]))
+        for family, k in sorted(entries, key=_canonical)
     )
     parts = tuple(delta_parts)
     for part in parts:  # one at a time, since they are not sorted yet
@@ -315,26 +294,31 @@ def twist_s(d: LusztigDatum, i: int) -> LusztigDatum:
         raise PreconditionViolated(
             f"twist by s_{i} needs multiplicity 0 at alpha_{i}, got {d.mult(*pivot)}"
         )
-    moved: dict[tuple[str, int] | RootVector, int] = {}
+    kind = d.kind
+    moved = []
     for family, k, mult in d.real:
-        image = simple_reflection(d.kind, i, beta(d.kind, family, k))
-        label = root_label(d.kind, image)
+        image = simple_reflection(kind, i, RootVector(*ladder_root(kind, family, k)))
+        label = root_label(kind, image)
         assert label is not None, (d, i, family, k)
-        moved[label] = mult
-    return datum(d.kind, moved, d.delta)
+        moved.append(RealEntry(*label, mult))
+    moved.sort(key=_canonical)
+    return _derived(kind, tuple(moved), d.delta, simple_reflection(kind, i, d.weight))
 
 
 def twist_tau(d: LusztigDatum) -> LusztigDatum:
     """Diagram flip: swap the two ladders at equal index.
 
-    Only the untwisted algebra has the symmetry; the partition is fixed.
+    Only the untwisted algebra has the symmetry; the partition is fixed,
+    and the weight's two coordinates swap.
     """
     if d.kind is not Algebra.SL2_HAT:
         raise UnsupportedKind(f"no diagram flip for {d.kind.value}")
-    flipped = {
-        (LOW if family == HIGH else HIGH, k): mult for family, k, mult in d.real
-    }
-    return datum(d.kind, flipped, d.delta)
+    flip = {LOW: HIGH, HIGH: LOW}
+    flipped = sorted(
+        (RealEntry(flip[family], k, mult) for family, k, mult in d.real), key=_canonical
+    )
+    a, b = d.weight
+    return _derived(d.kind, tuple(flipped), d.delta, RootVector(b, a))
 
 
 def trapezoid_datum(kind: Algebra, lam: Iterable[int]) -> LusztigDatum:

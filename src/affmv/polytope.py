@@ -16,12 +16,12 @@ which they are constant, so the truncated scan equals the infinite one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .lusztig import LusztigDatum, Partition, RealEntry, largest_part, remove_part
-from .lusztig import _real_parts, partitions
+from .lusztig import LusztigDatum, Partition, RealEntry, largest_part, partitions
+from .lusztig import remove_part
 from .roots import HIGH, LOW, Algebra, RootVector, ladder_root, lean, length_ratio
-from .roots import max_real_index
+from .roots import _new, max_real_index
 
 __all__ = [
     "DecoratedPolytope",
@@ -36,30 +36,33 @@ __all__ = [
     "weight_truncation_index",
     "path_prefixes",
     "vertices",
-    "vertical_edge",
     "mv_violations",
     "is_mv",
     "part_size_ratio",
 ]
 
 
-@dataclass(frozen=True)
-class DecoratedPolytope:
-    """A pair of Lusztig data of equal weight, left and right.
-
-    This is also the crystal element: the operators in `crystal` take
-    and return decorated polytopes.
-    """
-
+class _PolytopeFields(NamedTuple):
     left: LusztigDatum
     right: LusztigDatum
 
-    def __post_init__(self) -> None:
-        if self.left.kind is not self.right.kind:
+
+class DecoratedPolytope(_PolytopeFields):
+    """A pair of Lusztig data of equal weight, left and right.
+
+    This is also the crystal element: the operators in `crystal` take
+    and return decorated polytopes.  A tuple of the two data.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, left: LusztigDatum, right: LusztigDatum) -> "DecoratedPolytope":
+        if left.kind is not right.kind:
             raise ValueError("the two data must belong to the same algebra")
-        w, right_w = self.left.weight, self.right.weight
+        w, right_w = left.weight, right.weight
         if w != right_w:
             raise ValueError(f"weight mismatch: left {w}, right {right_w}")
+        return _new(cls, (left, right))
 
     @property
     def kind(self) -> Algebra:
@@ -67,20 +70,18 @@ class DecoratedPolytope:
 
     @property
     def weight(self) -> RootVector:
-        """The common weight, read from the left datum's memo."""
+        """The common weight, read from the left datum."""
         return self.left.weight
+
 
 
 def _pair(left: LusztigDatum, right: LusztigDatum) -> DecoratedPolytope:
     """A polytope the library derived, its two data of one kind and weight.
 
-    No check runs: the caller guarantees what `__post_init__` would
-    compare.  Inputs from outside go through `DecoratedPolytope(...)`.
+    No check runs: the caller guarantees what `DecoratedPolytope(...)`
+    would compare, and inputs from outside go through it.
     """
-    P = object.__new__(DecoratedPolytope)
-    object.__setattr__(P, "left", left)  # as in lusztig._derived
-    object.__setattr__(P, "right", right)
-    return P
+    return _new(DecoratedPolytope, (left, right))
 
 
 class HalfPath(NamedTuple):
@@ -354,13 +355,17 @@ _Hit = tuple[int, int, tuple[RealEntry, ...], Partition]
 
 
 def _left_partners(
-    kind: Algebra, w: RootVector, rights: Sequence[LusztigDatum]
+    kind: Algebra,
+    w: RootVector,
+    rights: Sequence[LusztigDatum],
+    walk: Iterable[tuple[tuple[RealEntry, ...], int]],
 ) -> tuple[list[_Hit], int]:
     """Every MV pair of a datum of weight w, on the left, with one of `rights`.
 
     The left data are those of `enumerate_data(kind, w)`, walked in its
-    order without building them: each real part of `lusztig._real_parts`
-    with each partition of what it leaves.  The rights have weight w.
+    order without building them: each real part of `walk`, which is
+    `lusztig._real_parts(kind, w)` or a copy of it, with each partition
+    of what it leaves.  The rights have weight w.
     Returns the passing pairs as `_Hit`s, ascending in (i, j), and the
     number of left data judged, which is the number of data of w.
 
@@ -416,7 +421,7 @@ def _left_partners(
     sizes: dict[int, int] = {}  # number of partitions of n
     hits: list[_Hit] = []
     i = 0
-    for real, n in _real_parts(kind, w):
+    for real, n in walk:
         cut = [entry.family for entry in real].count(LOW)
         high, low = real[cut:], real[:cut]
         high_end, ok1 = high_memo.get(high) or scan(high_memo, high, HIGH, right_lows)

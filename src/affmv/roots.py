@@ -10,8 +10,8 @@ package is generic over `Algebra`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 __all__ = [
     "Algebra",
@@ -35,6 +35,11 @@ __all__ = [
 ]
 
 
+# Builds a tuple-backed value from its fields with no Python frame, about
+# half the cost of calling the class; callers pass valid fields.
+_new = tuple.__new__
+
+
 class Algebra(Enum):
     """The two rank-2 affine types handled by this package."""
 
@@ -46,24 +51,27 @@ class Algebra(Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(frozen=True, order=True)
-class RootVector:
-    """Integer vector a*alpha0 + b*alpha1 in the root lattice."""
+class RootVector(NamedTuple):
+    """Integer vector a*alpha0 + b*alpha1 in the root lattice.
+
+    A tuple, so building, comparing, hashing and ordering one run in C.
+    The arithmetic is the vector's: no tuple concatenation or repetition.
+    """
 
     a: int
     b: int
 
     def __add__(self, other: "RootVector") -> "RootVector":
-        return RootVector(self.a + other.a, self.b + other.b)
+        return _new(RootVector, (self.a + other.a, self.b + other.b))
 
     def __sub__(self, other: "RootVector") -> "RootVector":
-        return RootVector(self.a - other.a, self.b - other.b)
+        return _new(RootVector, (self.a - other.a, self.b - other.b))
 
     def __neg__(self) -> "RootVector":
-        return RootVector(-self.a, -self.b)
+        return _new(RootVector, (-self.a, -self.b))
 
     def __mul__(self, n: int) -> "RootVector":
-        return RootVector(n * self.a, n * self.b)
+        return _new(RootVector, (n * self.a, n * self.b))
 
     __rmul__ = __mul__
 

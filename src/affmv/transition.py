@@ -53,6 +53,7 @@ from .lusztig import (
     Partition,
     RealEntry,
     _derived,
+    _real_parts,
     add_part,
     remove_part,
 )
@@ -173,7 +174,7 @@ def _oracle_completions(known: LusztigDatum) -> tuple[list[LusztigDatum], int]:
     """
     kind = known.kind
     w = known.weight
-    hits, judged = _left_partners(kind, w, [known])
+    hits, judged = _left_partners(kind, w, [known], _real_parts(kind, w))
     return [_derived(kind, real, parts, w) for _, _, real, parts in hits], judged
 
 
@@ -365,54 +366,37 @@ def _ladder_leaves(
         yield tuple(forced), T + 1, wx - cx, wx - cx, wy - cy
 
 
-def _delta_candidates(
-    kind: Algebra, lam: Partition, n: int, d1: RootVector
-) -> list[Partition]:
-    """The partitions of n the vertical-edge condition could accept.
-
-    Either both decorations agree, or the unknown one is the known
-    partition lam with one part of the prescribed gap size s >= 1 added
-    or removed; no other shape can pass the final check.  The three
-    shapes have the distinct sizes |lam|, |lam| - s and |lam| + s, so at
-    most one is returned.
-    """
-    out: list[Partition] = []
-    if sum(lam) == n:
-        out.append(lam)
-    num, den = part_size_ratio(kind, d1)
-    if num > 0 and num % den == 0:
-        s = num // den
-        if s in lam and sum(lam) - s == n:
-            out.append(remove_part(lam, s))
-        if sum(lam) + s == n:
-            out.append(add_part(lam, s))
-    return out
-
-
-def _edge_points(
+def _edge_candidates(
     kind: Algebra, lam: Partition, lo: int, hi: int, n: int, d1: RootVector
-) -> list[int]:
-    """The m1 in lo..hi of a join progression where `_delta_candidates` may
-    return a partition, ascending; n and d1 are its arguments at m1 = lo.
+) -> Iterator[tuple[int, Partition]]:
+    """Each (m1, partition) of a join progression m1 = lo..hi that the
+    vertical-edge condition could accept, ascending in m1.
 
-    Per unit of m1 the leftover n falls by 1 and d1.a falls by 1, so the
-    prescribed part size s = lean(d1) / ratio rises by 1, and lean(d1)
-    keeps its residue mod ratio: s is an integer at every m1 or at none.
-    So n == |lam| holds at one m1, n == |lam| + s at most at one, and
-    n == |lam| - s at all or none, where it can only pass at the m1 with
-    s a part of lam.
+    n is the leftover and d1 the bottom vertical edge at m1 = lo.  The
+    partition either equals the known one, lam, or is lam with one part
+    of the prescribed gap size s >= 1 added or removed; no other shape
+    can pass the final check.  Per unit of m1 the leftover falls by 1
+    and d1.a by 1, so s = lean(d1) / ratio rises by 1, and lean(d1) keeps
+    its residue mod ratio: s is an integer at every m1 or at none.  So
+    the leftover is |lam| at one m1 and |lam| + s at most at one, and it
+    is |lam| - s at all or none, where only the m1 with s a part of lam
+    remain.  The three shapes have distinct sizes at one m1, so each m1
+    has at most one partition.
     """
     size = sum(lam)
-    points = {lo + n - size}
+    found = {n - size: lam}  # m1 - lo -> its partition
     num, den = part_size_ratio(kind, d1)
     if num % den == 0:
-        s = num // den
+        s = num // den  # at m1 = lo
         t, odd = divmod(n - size - s, 2)
-        if not odd:
-            points.add(lo + t)
+        if not odd and s + t >= 1:
+            found[t] = add_part(lam, s + t)
         if size - s == n:
-            points.update(lo + part - s for part in set(lam))
-    return sorted(m1 for m1 in points if lo <= m1 <= hi)
+            for part in set(lam):
+                found[part - s] = remove_part(lam, part)
+    for t in sorted(found):
+        if 0 <= t <= hi - lo:
+            yield lo + t, found[t]
 
 
 def _assemble(
@@ -514,14 +498,12 @@ def _dfs_completions(known: LusztigDatum) -> list[LusztigDatum]:
                 continue
             # The unknown high half ends at w - r (`HalfPath.end`).
             d1 = vertical_edge((w.a - ha + first, w.b - hb), low_end)
-            for m1 in _edge_points(kind, known.delta, first, last, ha - first - ua, d1):
-                n = ha - m1 - ua  # r - u == n*delta, and delta has a == 1
-                d1 = vertical_edge((w.a - ha + m1, w.b - hb), low_end)
-                for parts in _delta_candidates(kind, known.delta, n, d1):
-                    cand = _assemble(
-                        kind, base + ratio * m1, low_picks, m1, high_picks, parts, w
-                    )
-                    cp = path_prefixes(cand, K)
-                    if not mv_violations(kind, cp, kp, parts, known.delta, True):
-                        sols.append(cand)
+            n = ha - first - ua  # r - u == n*delta, and delta has a == 1
+            for m1, parts in _edge_candidates(kind, known.delta, first, last, n, d1):
+                cand = _assemble(
+                    kind, base + ratio * m1, low_picks, m1, high_picks, parts, w
+                )
+                cp = path_prefixes(cand, K)
+                if not mv_violations(kind, cp, kp, parts, known.delta, True):
+                    sols.append(cand)
     return sols

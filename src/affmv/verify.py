@@ -14,8 +14,10 @@ from typing import Callable
 from . import crystal
 from .crystal import CrystalGraph, crystal_graph
 from .lusztig import (
-    enumerate_data,
+    _derived,
+    _real_parts,
     is_purely_imaginary,
+    partitions,
     trapezoid_datum,
     twist_s,
 )
@@ -128,12 +130,16 @@ def check_uniqueness(kind: Algebra, box: RootVector) -> Report:
     """
     t = _Tally()
     for w in _box_weights(box):
-        data = enumerate_data(kind, w)
+        # The data of `enumerate_data(kind, w)`, from a walk the scan reuses.
+        walk = list(_real_parts(kind, w))
+        data = [
+            _derived(kind, real, parts, w) for real, m in walk for parts in partitions(m)
+        ]
         n = len(data)
         t.hit("weights checked")
         t.hit("data checked", n)
         t.hit("pair checks", n * n)
-        pairs = [(i, j) for i, j, _, _ in _left_partners(kind, w, data)[0]]
+        pairs = [(i, j) for i, j, _, _ in _left_partners(kind, w, data, walk)[0]]
         # partners[side][i]: the passing partners of datum i on that side.
         partners = {"right": [[] for _ in data], "left": [[] for _ in data]}
         for i, j in pairs:

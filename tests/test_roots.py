@@ -92,6 +92,8 @@ class TestVectors:
         assert v - ALPHA1 == RootVector(2, 2)
         assert -v == RootVector(-2, -3)
         assert 3 * v == v * 3 == RootVector(6, 9)
+        # Vector arithmetic, never tuple concatenation or repetition.
+        assert all(type(x) is RootVector for x in (v + v, v - v, -v, 3 * v, v * 3))
         assert not ZERO and bool(v)
         assert str(v) == "(2,3)"
 

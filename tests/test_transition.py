@@ -58,8 +58,7 @@ from affmv.transition import (
     DFS,
     ORACLE,
     _CACHE,
-    _delta_candidates,
-    _edge_points,
+    _edge_candidates,
     _ladder_leaves,
     _oracle_completions,
     clear_cache,
@@ -264,26 +263,27 @@ class TestLargeData:
     def test_the_interval_join_tries_a_few_points(self, kind, monkeypatch):
         """delta=[10^5] joins two forced-tail intervals along a progression
         of 10^5 + 1 values of m1; only the few where the vertical-edge
-        condition can pass get `_delta_candidates`."""
-        calls = []
-        counted = transition._delta_candidates
+        condition can pass come out of `_edge_candidates`."""
+        tried = []
+        counted = transition._edge_candidates
 
         def counting(*args):
-            calls.append(args)
-            return counted(*args)
+            for point in counted(*args):
+                tried.append(point)
+                yield point
 
-        monkeypatch.setattr(transition, "_delta_candidates", counting)
+        monkeypatch.setattr(transition, "_edge_candidates", counting)
         clear_cache()
         lam = (10**5,)
         assert transition_l_to_r(datum(kind, delta_parts=lam)) == trapezoid_datum(
             kind, lam
         )
-        assert len(calls) < 10
+        assert len(tried) < 10
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_edge_points_keep_every_passing_m1(self, kind):
-        """On seeded progressions, the m1 where `_delta_candidates` returns
-        partitions are among `_edge_points`, with the same partitions."""
+        """On seeded progressions, `_edge_candidates` yields exactly the m1
+        where one m1 at a time admits a partition shape, with that shape."""
         rng = random.Random(16)
         for _ in range(300):
             parts = (rng.randint(1, 6) for _ in range(rng.randint(0, 4)))
@@ -295,17 +295,33 @@ class TestLargeData:
 
             def at(m1):
                 t = m1 - lo
-                return _delta_candidates(kind, lam, n - t, RootVector(d1.a - t, d1.b))
+                return shapes_at(kind, lam, n - t, RootVector(d1.a - t, d1.b))
 
-            every = [(m1, at(m1)) for m1 in range(lo, hi + 1)]
-            points = [(m1, at(m1)) for m1 in _edge_points(kind, lam, lo, hi, n, d1)]
-            assert [p for p in points if p[1]] == [p for p in every if p[1]]
-            # The join narrows one-point ranges too: each keeps its m1
-            # wherever that passes.
-            for m1, found in every:
+            every = [(m1, found) for m1 in range(lo, hi + 1) for found in at(m1)]
+            assert list(_edge_candidates(kind, lam, lo, hi, n, d1)) == every
+            # A one-point range keeps its m1 wherever that passes.
+            for m1 in range(lo, hi + 1):
                 t = m1 - lo
-                one = _edge_points(kind, lam, m1, m1, n - t, RootVector(d1.a - t, d1.b))
-                assert set(one) <= {m1} and (m1 in one or not found), m1
+                d1_here = RootVector(d1.a - t, d1.b)
+                one = list(_edge_candidates(kind, lam, m1, m1, n - t, d1_here))
+                assert one == [(m1, found) for found in at(m1)], m1
+
+
+def shapes_at(kind, lam, n, d1):
+    """Brute force at one m1: the partitions of n among lam and lam with one
+    part of the prescribed size s >= 1 added or removed (at most one)."""
+    a, b = d1
+    num, den = (b - a, 1) if kind is Algebra.SL2_HAT else (b - 2 * a, 2)
+    shapes = [lam]
+    if num > 0 and num % den == 0:
+        s = num // den
+        shapes.append(tuple(sorted(lam + (s,), reverse=True)))
+        if s in lam:
+            i = lam.index(s)
+            shapes.append(lam[:i] + lam[i + 1 :])
+    found = [p for p in shapes if sum(p) == n]
+    assert len(found) <= 1
+    return found
 
 
 class TestPlumbing:

@@ -1,0 +1,92 @@
+"""Value types: RootVector, LusztigDatum and DecoratedPolytope are tuples.
+
+Each is an immutable tuple with no instance dict, so it builds, hashes
+and compares in C.  These tests pin what that must not change: repr and
+str byte for byte, no instance dict, and copy, deepcopy and pickle round
+trips.  The vector arithmetic is tested in `test_roots`, data built in
+different ways and the weight staying out of repr and documents in
+`test_lusztig`, and the checks of `DecoratedPolytope(...)` in
+`test_polytope`.
+"""
+
+import copy
+import pickle
+
+import pytest
+
+from affmv.lusztig import RealEntry, _derived, datum
+from affmv.polytope import DecoratedPolytope
+from affmv.roots import HIGH, LOW, ZERO, Algebra, RootVector
+from affmv.transition import complete_from_right
+
+SL2 = Algebra.SL2_HAT
+A2 = Algebra.A2_TWISTED
+
+SMALL = datum(SL2, {(LOW, 1): 2, (HIGH, 3): 1}, (2, 1))
+SMALL_REPR = (
+    "LusztigDatum(kind=<Algebra.SL2_HAT: 'sl2hat'>, real=(RealEntry(family='low', "
+    "k=1, mult=2), RealEntry(family='high', k=3, mult=1)), delta=(2, 1))"
+)
+ZERO_A2_REPR = "LusztigDatum(kind=<Algebra.A2_TWISTED: 'a2(2)'>, real=(), delta=())"
+
+
+def samples():
+    zero = datum(A2)
+    return [
+        RootVector(3, -4),
+        SMALL,
+        zero,
+        DecoratedPolytope(zero, zero),
+        complete_from_right(SMALL),
+    ]
+
+
+class TestText:
+    def test_root_vector(self):
+        v = RootVector(3, -4)
+        assert repr(v) == "RootVector(a=3, b=-4)"
+        assert str(v) == f"{v}" == "(3,-4)"
+
+    def test_datum(self):
+        assert repr(SMALL) == str(SMALL) == f"{SMALL}" == SMALL_REPR
+        assert repr(datum(A2)) == ZERO_A2_REPR
+
+    def test_polytope(self):
+        zero = datum(A2)
+        P = DecoratedPolytope(zero, zero)
+        want = f"DecoratedPolytope(left={ZERO_A2_REPR}, right={ZERO_A2_REPR})"
+        assert repr(P) == str(P) == want
+
+
+class TestLayout:
+    def test_no_instance_dict(self):
+        for value in samples():
+            assert isinstance(value, tuple)
+            assert not hasattr(value, "__dict__"), type(value)
+            with pytest.raises(AttributeError):
+                value.extra = 1
+
+
+class TestCopies:
+    @pytest.mark.parametrize("how", ("copy", "deepcopy", "pickle"))
+    def test_round_trips(self, how):
+        for value in samples():
+            if how == "copy":
+                back = copy.copy(value)
+            elif how == "deepcopy":
+                back = copy.deepcopy(value)
+            else:
+                back = pickle.loads(pickle.dumps(value))
+            assert type(back) is type(value)
+            assert back == value and hash(back) == hash(value)
+            assert repr(back) == repr(value)
+
+    def test_pickled_datum_is_checked_again(self):
+        """A datum pickles as its three defining fields; the weight is
+        recomputed, and the constructor's checks run on the way back."""
+        assert SMALL.__getnewargs__() == (SL2, SMALL.real, SMALL.delta)
+        assert pickle.loads(pickle.dumps(SMALL)).weight == SMALL.weight
+        forged = _derived(SL2, (RealEntry(LOW, 1, 0),), (), ZERO)
+        with pytest.raises(ValueError, match="multiplicity"):
+            pickle.loads(pickle.dumps(forged))
+

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from affmv import crystal, transition
 from affmv.crystal import crystal_graph
-from affmv.lusztig import enumerate_data
+from affmv.lusztig import _real_parts, enumerate_data
 from affmv.polytope import (
     _left_partners,
     mv_violations,
@@ -122,7 +122,7 @@ class TestPairing:
                 ]
                 for i, dl in enumerate(data)
             ]
-            hits, judged = _left_partners(kind, w, data)
+            hits, judged = _left_partners(kind, w, data, _real_parts(kind, w))
             assert judged == len(data), w
             rows = [[] for _ in data]
             for i, j, real, parts in hits:

@@ -7,6 +7,10 @@ re-complete the other side; each starred operator is its plain one
 conjugated by the Kashiwara involution `star`, which exchanges the sides.
 The transition layer caches each solve both ways, so e_i and e_i*
 reaching one polytope from its two sides solve it once.
+A string is one solve too: e_i^n b is one bump by n and f_i^max b one
+bump by -phi_i(b), each followed by one re-completion (`_raise`), so
+the strings of the reflection formulas never build their middle
+elements.
 Reflections are realized by twisting the datum whose extreme
 multiplicity vanishes and re-completing.
 """
@@ -77,21 +81,32 @@ def _bump(d: LusztigDatum, family: str, by: int) -> LusztigDatum:
     return _derived(d.kind, real[:at] + entry + rest, d.delta, d.weight + by * alpha)
 
 
+def _raise(i: int, b: DecoratedPolytope, by: int) -> DecoratedPolytope:
+    """e_i^by b in one solve, or f_i^-by b when `by` is negative.
+
+    e_i changes one index-1 multiplicity of one datum of b and
+    re-completes the other datum, so a whole string is one bump by `by`
+    and one re-completion.  `by` must not be below -phi_i(b); the node
+    index is not checked here.
+    """
+    if by == 0:
+        return b
+    if i == 0:
+        return complete_from_right(_bump(b.right, HIGH, by))
+    return complete_from_left(_bump(b.left, LOW, by))
+
+
 def e(i: int, b: DecoratedPolytope) -> DecoratedPolytope:
     """Raise along alpha_i: bump one extreme multiplicity, re-complete."""
     _check_node(i)
-    if i == 0:
-        return complete_from_right(_bump(b.right, HIGH, 1))
-    return complete_from_left(_bump(b.left, LOW, 1))
+    return _raise(i, b, 1)
 
 
 def f(i: int, b: DecoratedPolytope) -> DecoratedPolytope | None:
     """Lower along alpha_i, or None at the bottom of the string."""
     if phi(i, b) == 0:  # phi checks the node index
         return None
-    if i == 0:
-        return complete_from_right(_bump(b.right, HIGH, -1))
-    return complete_from_left(_bump(b.left, LOW, -1))
+    return _raise(i, b, -1)
 
 
 def e_star(i: int, b: DecoratedPolytope) -> DecoratedPolytope:

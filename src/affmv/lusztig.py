@@ -8,7 +8,7 @@ exhaustive enumeration of all data at a fixed weight.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .roots import (
     FAMILIES,
@@ -199,6 +199,16 @@ class LusztigDatum(_DatumFields):
 
     def __getnewargs__(self) -> tuple[Algebra, tuple[RealEntry, ...], Partition]:
         return self[:3]
+
+    @classmethod
+    def _make(cls, fields: Iterable[Any]) -> "LusztigDatum":
+        """Rebuild through the checks; `_replace` comes here too.
+
+        The weight is recomputed from the other three fields, so a stored
+        weight that no longer fits them is not carried over.
+        """
+        kind, real, delta, _weight = fields
+        return cls(kind, real, delta)
 
     def __repr__(self) -> str:
         return (

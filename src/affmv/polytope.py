@@ -64,6 +64,11 @@ class DecoratedPolytope(_PolytopeFields):
             raise ValueError(f"weight mismatch: left {w}, right {right_w}")
         return _new(cls, (left, right))
 
+    @classmethod
+    def _make(cls, fields: Iterable[LusztigDatum]) -> "DecoratedPolytope":
+        """Rebuild through the checks; `_replace` comes here too."""
+        return cls(*fields)
+
     @property
     def kind(self) -> Algebra:
         return self.left.kind

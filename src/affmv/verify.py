@@ -9,7 +9,6 @@ deterministic text.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from . import crystal
 from .crystal import CrystalGraph, crystal_graph
@@ -181,18 +180,6 @@ def check_uniqueness(kind: Algebra, box: RootVector) -> Report:
     return t.done("uniqueness", kind, f"box {box}")
 
 
-def _exhaust(
-    op: Callable[[DecoratedPolytope], DecoratedPolytope | None], b: DecoratedPolytope
-) -> tuple[DecoratedPolytope, int]:
-    steps = 0
-    while True:
-        nxt = op(b)
-        if nxt is None:
-            return b, steps
-        b = nxt
-        steps += 1
-
-
 def _saito_formula(
     i: int, b: DecoratedPolytope, starred: bool, n: int | None = None
 ) -> DecoratedPolytope:
@@ -200,15 +187,15 @@ def _saito_formula(
 
     The plain formula is f_i*^max e_i^n, the starred one f_i^max e_i*^n.
     n defaults to the threshold exponent, max(0, eps_i*) for the plain
-    formula and max(0, eps_i) for the starred one.
+    formula and max(0, eps_i) for the starred one.  Each string is one
+    `crystal._raise`; the starred formula is the plain one conjugated by
+    star, since e_i* = * e_i * and f_i = * f_i* *.
     """
     if starred:
-        raise_, lower, threshold = crystal.e_star, crystal.f, crystal.eps
-    else:
-        raise_, lower, threshold = crystal.e, crystal.f_star, crystal.eps_star
-    for _ in range(max(0, threshold(i, b)) if n is None else n):
-        b = raise_(i, b)
-    return _exhaust(lambda x: lower(i, x), b)[0]
+        return crystal.star(_saito_formula(i, crystal.star(b), False, n))
+    up = crystal._raise(i, b, max(0, crystal.eps_star(i, b)) if n is None else n)
+    top = crystal.star(up)
+    return crystal.star(crystal._raise(i, top, -crystal.phi(i, top)))
 
 
 def check_axioms(
@@ -392,7 +379,9 @@ def check_crystal_axioms(
         for i in (0, 1):
             t.hit("string length checks")
             for x, s in sides:
-                _, steps = _exhaust(lambda y: crystal.f(i, y), x)
+                steps, y = 0, crystal.f(i, x)
+                while y is not None:
+                    steps, y = steps + 1, crystal.f(i, y)
                 if steps != crystal.phi(i, x):
                     t.fail(
                         f"node {idx}: phi_{i}{s} is {crystal.phi(i, x)} but "

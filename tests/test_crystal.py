@@ -4,14 +4,18 @@ reflections, and graph generation.
 Small operator words are frozen; structural identities (inverses, the
 star intertwiner, reflection weights, the triangle/tube interaction of
 the two raising families) are swept over small graphs for both kinds.
-A cold graph searches each polytope once, from whichever side it is
-reached first.
+Hypothesis carries the string power `_raise` and the triangle/tube law
+to random completions.  A cold graph searches each polytope once, from
+whichever side it is reached first.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affmv import transition
 from affmv.crystal import (
+    _raise,
     crystal_graph,
     e,
     e_star,
@@ -32,6 +36,7 @@ from affmv.polytope import is_mv
 from affmv.roots import ALPHA0, ALPHA1, HIGH, LOW, Algebra, simple_reflection
 from affmv.transition import clear_cache, complete_from_right, transition_l_to_r
 from conftest import KINDS
+from test_transition import bounded_data
 
 SWEEP_DEPTH = 5
 
@@ -204,25 +209,75 @@ class TestSaito:
             saito_star(0, b)
 
 
+class TestStrings:
+    """One solve per string: `_raise(i, b, by)` against the unit steps
+    of e and f, on b = complete_from_right(d) for a random datum d and
+    on star(b)."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(deadline=None, max_examples=40)
+    @given(st.data())
+    def test_a_power_is_the_unit_steps(self, kind, data):
+        b = complete_from_right(data.draw(bounded_data(kind, max_height=60)))
+        for x in (b, star(b)):
+            for i in (0, 1):
+                powers = [_raise(i, x, n) for n in range(5)]
+                steps = [x]
+                for _ in range(4):
+                    steps.append(e(i, steps[-1]))
+                assert powers == steps
+                down = x
+                while (step := f(i, down)) is not None:
+                    down = step
+                assert _raise(i, x, -phi(i, x)) == down
+
+
+def merge_level(i, b):
+    return eps(i, b) + phi_star(i, b)
+
+
+def assert_triangle_tube_law(i, b):
+    """m = eps_i + phi_i* locates b in its triangle/tube block:
+    nonpositive in the tube (both raises coincide), one on the merge
+    row (they land in different columns), larger inside the triangle
+    (they commute)."""
+    m = merge_level(i, b)
+    assert m == eps_star(i, b) + phi(i, b)
+    same = e(i, b) == e_star(i, b)
+    commute = e(i, e_star(i, b)) == e_star(i, e(i, b))
+    if m <= 0:
+        assert same and commute
+    elif m == 1:
+        assert not same and not commute
+    else:
+        assert not same and commute
+
+
 class TestTriangleTubeStructure:
     @pytest.mark.parametrize("kind", KINDS)
     def test_merge_level_classifies_the_interaction(self, kind):
-        """m = eps_i + phi_i* locates a node in its triangle/tube block:
-        nonpositive in the tube (both raises coincide), one on the merge
-        row (they land in different columns), larger inside the
-        triangle (they commute)."""
         for b in small_graph(kind).nodes:
             for i in (0, 1):
-                m = eps(i, b) + phi_star(i, b)
-                assert m == eps_star(i, b) + phi(i, b)
-                same = e(i, b) == e_star(i, b)
-                commute = e(i, e_star(i, b)) == e_star(i, e(i, b))
-                if m <= 0:
-                    assert same and commute
-                elif m == 1:
-                    assert not same and not commute
-                else:
-                    assert not same and commute
+                assert_triangle_tube_law(i, b)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(deadline=None, max_examples=40)
+    @given(st.data())
+    def test_the_law_holds_on_completions(self, kind, data):
+        """Off the graphs, on b = complete_from_right(d) for a random
+        datum d.  Above the tube each e_i* lowers the merge level by
+        one, so e_i*^(m - k) b sits at level k: the law is checked there
+        for k = 2, 1, 0 as well, so every b with m >= 2 reaches all three
+        cases."""
+        b = complete_from_right(data.draw(bounded_data(kind, max_height=60)))
+        for i in (0, 1):
+            assert_triangle_tube_law(i, b)
+            m = merge_level(i, b)
+            assert m >= 0
+            for k in range(min(m, 2), -1, -1):
+                x = star(_raise(i, star(b), m - k))
+                assert merge_level(i, x) == k
+                assert_triangle_tube_law(i, x)
 
 
 # Graphs of the frozen sweep sizes (257 and 78 nodes).

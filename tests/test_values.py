@@ -14,7 +14,7 @@ import pickle
 
 import pytest
 
-from affmv.lusztig import RealEntry, _derived, datum
+from affmv.lusztig import LusztigDatum, RealEntry, _derived, datum
 from affmv.polytope import DecoratedPolytope
 from affmv.roots import HIGH, LOW, ZERO, Algebra, RootVector
 from affmv.transition import complete_from_right
@@ -90,3 +90,40 @@ class TestCopies:
         with pytest.raises(ValueError, match="multiplicity"):
             pickle.loads(pickle.dumps(forged))
 
+
+
+class TestRebuilds:
+    """`_replace` and `_make`, inherited from NamedTuple, go through the
+    validating constructors: a datum's weight is recomputed and a
+    polytope's two data are compared again."""
+
+    def test_datum_replace_recomputes_the_weight(self):
+        d = datum(SL2, delta_parts=(1,))._replace(delta=(5,))
+        assert d == datum(SL2, delta_parts=(5,))
+        assert d.weight == RootVector(5, 5)
+        moved = SMALL._replace(real=(RealEntry(HIGH, 2, 1),))
+        assert moved.weight == datum(SL2, {(HIGH, 2): 1}, (2, 1)).weight
+
+    def test_datum_make_ignores_a_stale_weight(self):
+        d = LusztigDatum._make((SL2, (), (5,), ZERO))
+        assert type(d) is LusztigDatum and d.weight == RootVector(5, 5)
+        assert LusztigDatum._make(SMALL) == SMALL
+
+    def test_datum_rebuilds_are_checked(self):
+        with pytest.raises(ValueError, match="weakly decreasing"):
+            SMALL._replace(delta=(1, 2))
+        with pytest.raises(ValueError, match="canonical order"):
+            SMALL._replace(real=(RealEntry(HIGH, 1, 1), RealEntry(LOW, 1, 1)))
+        with pytest.raises(ValueError, match="multiplicity"):
+            SMALL._replace(real=(RealEntry(LOW, 1, 0),))
+        with pytest.raises(ValueError, match="unexpected field"):
+            SMALL._replace(colour=1)
+
+    def test_polytope_rebuilds_are_checked(self):
+        P = complete_from_right(SMALL)
+        assert P._replace(right=SMALL) == P
+        assert DecoratedPolytope._make(P) == P
+        with pytest.raises(ValueError, match="weight mismatch"):
+            P._replace(left=datum(SL2))
+        with pytest.raises(ValueError, match="same algebra"):
+            DecoratedPolytope._make((datum(A2), datum(SL2)))

@@ -40,6 +40,20 @@ SMALL_BOXES = {
 }
 
 
+def unit_step_formula(i, b, starred, n=None):
+    """The reflection formula one operator step at a time: the reference
+    for `verify._saito_formula`, which takes each string in one solve."""
+    if starred:
+        raise_, lower, threshold = crystal.e_star, crystal.f, crystal.eps
+    else:
+        raise_, lower, threshold = crystal.e, crystal.f_star, crystal.eps_star
+    for _ in range(max(0, threshold(i, b)) if n is None else n):
+        b = raise_(i, b)
+    while (down := lower(i, b)) is not None:
+        b = down
+    return b
+
+
 class TestReport:
     def test_passed_tracks_failures(self):
         ok = Report("demo", Algebra.SL2_HAT, "scope", (("n", 1),), (), ())
@@ -193,6 +207,28 @@ class TestNodeSweeps:
             for i in (0, 1):
                 if crystal.phi(i, x) == 0:
                     assert _saito_formula(i, x, starred=False) == crystal.saito(i, x)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(deadline=None, max_examples=40)
+    @given(st.data())
+    def test_one_solve_strings_equal_the_unit_steps(self, kind, data):
+        """`_saito_formula` against `unit_step_formula`, both formulas,
+        from the threshold exponent to two past it, on a random
+        completion and its star, inside the reflections' domain or not."""
+        d = data.draw(bounded_data(kind, max_height=60))
+        b = transition.complete_from_right(d)
+        thresholds = {False: crystal.eps_star, True: crystal.eps}
+        for x in (b, crystal.star(b)):
+            for i in (0, 1):
+                for starred, threshold in thresholds.items():
+                    n0 = max(0, threshold(i, x))
+                    assert _saito_formula(i, x, starred) == unit_step_formula(
+                        i, x, starred
+                    )
+                    for n in range(n0, n0 + 3):
+                        assert _saito_formula(i, x, starred, n) == unit_step_formula(
+                            i, x, starred, n
+                        )
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_crystal_axioms_pass_at_small_depth(self, kind):

@@ -192,8 +192,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if suite in ("star", "all"):
         reports.append(verify.check_star_negation(kind, depth, graph=graph))
     if suite in ("saito", "all"):
+        shared = graph if saito_depth == depth else None
         reports.append(
-            verify.check_saito_formulas(kind, saito_depth, slack=args.slack)
+            verify.check_saito_formulas(
+                kind, saito_depth, slack=args.slack, graph=shared
+            )
         )
     if suite in ("crystal", "all"):
         reports.append(verify.check_crystal_axioms(kind, depth, graph=graph))

@@ -6,7 +6,9 @@ operators touch the multiplicity of one extreme root on one side and
 re-complete the other side; each starred operator is its plain one
 conjugated by the Kashiwara involution `star`, which exchanges the sides.
 The transition layer caches each solve both ways, so e_i and e_i*
-reaching one polytope from its two sides solve it once.
+reaching one polytope from its two sides solve it once, and on sl2hat
+answers a miss from the cached diagram flip, so e_i and e_{1-i} reaching
+flipped polytopes solve the pair once.
 A string is one solve too: e_i^n b is one bump by n and f_i^max b one
 bump by -phi_i(b), each followed by one re-completion (`_raise`), so
 the strings of the reflection formulas never build their middle
@@ -30,7 +32,7 @@ from .lusztig import (
 )
 from .polytope import DecoratedPolytope, _pair
 from .roots import ALPHA0, ALPHA1, HIGH, LOW, ZERO, Algebra, RootVector, cartan_pair
-from .roots import _check_node
+from .roots import _check_node, _new
 from .transition import complete_from_left, complete_from_right
 
 __all__ = [
@@ -75,10 +77,11 @@ def _bump(d: LusztigDatum, family: str, by: int) -> LusztigDatum:
     mult = (real[at].mult if held else 0) + by
     if mult < 0:
         raise ValueError(f"multiplicity must be an integer >= 1, got {mult!r}")
-    entry = (RealEntry(family, 1, mult),) if mult else ()
+    entry = (_new(RealEntry, (family, 1, mult)),) if mult else ()
     rest = real[at + 1 :] if held else real[at:]
-    alpha = ALPHA0 if family == HIGH else ALPHA1
-    return _derived(d.kind, real[:at] + entry + rest, d.delta, d.weight + by * alpha)
+    a, b = d.weight
+    weight = _new(RootVector, (a + by, b) if family == HIGH else (a, b + by))
+    return _derived(d.kind, real[:at] + entry + rest, d.delta, weight)
 
 
 def _raise(i: int, b: DecoratedPolytope, by: int) -> DecoratedPolytope:

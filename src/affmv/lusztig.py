@@ -16,6 +16,7 @@ from .roots import (
     LOW,
     Algebra,
     RootVector,
+    _SL2_HAT,
     _check_node,
     _new,
     _run_tops,
@@ -319,16 +320,21 @@ def twist_tau(d: LusztigDatum) -> LusztigDatum:
     """Diagram flip: swap the two ladders at equal index.
 
     Only the untwisted algebra has the symmetry; the partition is fixed,
-    and the weight's two coordinates swap.
+    and the weight's two coordinates swap.  Canonical order puts the low
+    run first, each run ascending in k, so the flip swaps the two runs
+    and needs no sort.
     """
-    if d.kind is not Algebra.SL2_HAT:
-        raise UnsupportedKind(f"no diagram flip for {d.kind.value}")
-    flip = {LOW: HIGH, HIGH: LOW}
-    flipped = sorted(
-        (RealEntry(flip[family], k, mult) for family, k, mult in d.real), key=_canonical
-    )
-    a, b = d.weight
-    return _derived(d.kind, tuple(flipped), d.delta, RootVector(b, a))
+    kind, real, parts, (a, b) = d
+    if kind is not _SL2_HAT:
+        raise UnsupportedKind(f"no diagram flip for {kind.value}")
+    low, high = [], []  # the two runs of the flip
+    for family, k, mult in real:
+        if family == LOW:
+            high.append(_new(RealEntry, (HIGH, k, mult)))
+        else:
+            low.append(_new(RealEntry, (LOW, k, mult)))
+    weight = _new(RootVector, (b, a))
+    return _new(LusztigDatum, (kind, tuple(low + high), parts, weight))
 
 
 def trapezoid_datum(kind: Algebra, lam: Iterable[int]) -> LusztigDatum:

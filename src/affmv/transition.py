@@ -38,8 +38,12 @@ the oldest dropped first; entries are immutable, so the cache behaves as
 a pure function table.  Since T is an involution, a solve stores its
 answer both ways, under the datum and under its partner: the crystal
 operators e_i and e_i* reach one polytope from its two sides and solve
-it once.  `_solve` searches even when the answer is cached, for checks
-of the search itself.
+it once.  On sl2hat the diagram flip tau maps MV pairs to MV pairs, so
+T(tau d) = tau T(d): a datum missing from the cache costs one more
+lookup, of its flip (`lusztig.twist_tau`, sort-free), and a hit is
+flipped back.  Nothing extra is stored, so each search still adds two
+entries; a2(2) has no flip and takes no probe.  `_solve` searches even
+when the answer is cached, for checks of the search itself.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ from .lusztig import (
     _real_parts,
     add_part,
     remove_part,
+    twist_tau,
 )
 from .polytope import (
     DecoratedPolytope,
@@ -72,6 +77,7 @@ from .roots import (
     LOW,
     Algebra,
     RootVector,
+    _SL2_HAT,
     delta,
     ladder_root,
     lean,
@@ -135,9 +141,18 @@ def transition_l_to_r(d: LusztigDatum, solver: str = DFS) -> LusztigDatum:
 
 
 def _partner(known: LusztigDatum, solver: str) -> LusztigDatum:
-    """The one completion of `known` by `solver`, from `_CACHE` if there."""
+    """The one completion of `known` by `solver`, from `_CACHE` if there.
+
+    On sl2hat a miss probes the flip of `known` once: T(tau d) = tau T(d).
+    """
     hit = _CACHE.get((solver, known))
-    return hit if hit is not None else _solve(known, solver)
+    if hit is not None:
+        return hit
+    if known.kind is _SL2_HAT:
+        hit = _CACHE.get((solver, twist_tau(known)))
+        if hit is not None:
+            return twist_tau(hit)
+    return _solve(known, solver)
 
 
 def _solve(known: LusztigDatum, solver: str) -> LusztigDatum:

@@ -15,7 +15,7 @@ import sys
 import pytest
 
 import affmv
-from affmv import cli
+from affmv import cli, crystal, verify
 from affmv.documents import datum_to_obj, dumps, polytope_to_obj
 from affmv.lusztig import datum
 from affmv.roots import HIGH, LOW, Algebra
@@ -401,6 +401,28 @@ class TestVerify:
             "crystal-axioms",
         ):
             assert f"{name} [sl2hat" in out
+
+    @pytest.mark.parametrize(
+        "argv, builds",
+        [
+            (("--kind", "sl2hat", "--depth", "3"), [3]),
+            (("--kind", "a2(2)"), [6]),  # both default depths are 6
+            (("--kind", "sl2hat"), [8, 6]),  # the saito sweep runs shallower
+        ],
+    )
+    def test_all_builds_each_graph_depth_once(self, capsys, monkeypatch, argv, builds):
+        depths = []
+        grow = crystal.crystal_graph
+
+        def counting(kind, depth):
+            depths.append(depth)
+            return grow(kind, depth)
+
+        monkeypatch.setattr(crystal, "crystal_graph", counting)
+        monkeypatch.setattr(verify, "crystal_graph", counting)
+        code, _, _ = run(capsys, "verify", "all", "--box", "2", "2", *argv)
+        assert code == cli.EXIT_OK
+        assert depths == builds
 
 
 class TestSizeLimit:

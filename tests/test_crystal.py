@@ -6,7 +6,10 @@ star intertwiner, reflection weights, the triangle/tube interaction of
 the two raising families) are swept over small graphs for both kinds.
 Hypothesis carries the string power `_raise` and the triangle/tube law
 to random completions.  A cold graph searches each polytope once, from
-whichever side it is reached first.
+whichever side it is reached first, and on sl2hat each {id, *, tau}
+orbit once: a miss probes the cache once more for its diagram flip and
+stores nothing extra.  The flip tests clear the cache between their two
+sides, so neither is read from the other.
 """
 
 import pytest
@@ -31,10 +34,22 @@ from affmv.crystal import (
     star,
     tau,
 )
-from affmv.lusztig import PreconditionViolated, UnsupportedKind, datum, twist_s
+from affmv.lusztig import (
+    PreconditionViolated,
+    UnsupportedKind,
+    datum,
+    twist_s,
+    twist_tau,
+)
 from affmv.polytope import is_mv
 from affmv.roots import ALPHA0, ALPHA1, HIGH, LOW, Algebra, simple_reflection
-from affmv.transition import clear_cache, complete_from_right, transition_l_to_r
+from affmv.transition import (
+    DFS,
+    _solve,
+    clear_cache,
+    complete_from_right,
+    transition_l_to_r,
+)
 from conftest import KINDS
 from test_transition import bounded_data
 
@@ -155,7 +170,9 @@ class TestTau:
             assert tau(t) == b
             for i in (0, 1):
                 assert phi(i, t) == phi(1 - i, b)
-                assert e(i, t) == tau(e(1 - i, b))
+                flipped = tau(e(1 - i, b))
+                clear_cache()  # so that e(i, t) is searched, not read from a flip
+                assert e(i, t) == flipped
 
     def test_flip_needs_the_symmetric_diagram(self):
         with pytest.raises(UnsupportedKind):
@@ -355,7 +372,9 @@ class TestGraphs:
     @pytest.mark.parametrize("kind", KINDS)
     def test_a_cold_graph_searches_each_polytope_once(self, kind, monkeypatch):
         """A solve caches T both ways, so e_i and e_i* reaching one
-        polytope from its two sides search it once."""
+        polytope from its two sides search it once; on sl2hat a miss also
+        reads the cached flip, so no two searched data lie in one
+        {id, *, tau} orbit."""
         searched = []
         dfs = transition._dfs_completions
 
@@ -366,5 +385,17 @@ class TestGraphs:
         monkeypatch.setattr(transition, "_dfs_completions", counting)
         clear_cache()
         crystal_graph(kind, 8)
-        solved = {frozenset((d, transition_l_to_r(d))) for d in searched}
-        assert searched and len(solved) == len(searched)
+        orbits = set()
+        for d in searched:
+            pair = (d, transition_l_to_r(d))
+            if kind is Algebra.SL2_HAT:
+                pair += tuple(twist_tau(x) for x in pair)
+            orbits.add(frozenset(pair))
+        assert len(orbits) == len(searched)
+        assert len(searched) == {Algebra.SL2_HAT: 89, Algebra.A2_TWISTED: 126}[kind]
+
+    def test_a_cold_graph_completes_every_node_by_search(self):
+        """Nodes whose polytope came from a cached flip agree with a search."""
+        clear_cache()
+        for b in crystal_graph(Algebra.SL2_HAT, 10).nodes:
+            assert b.right == _solve(b.left, DFS)

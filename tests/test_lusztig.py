@@ -314,6 +314,35 @@ class TestTwists:
         with pytest.raises(UnsupportedKind):
             twist_tau(datum(Algebra.A2_TWISTED))
 
+    @given(
+        st.dictionaries(
+            st.tuples(st.sampled_from((LOW, HIGH)), st.integers(1, 30)),
+            st.integers(1, 9),
+            max_size=8,
+        ),
+        st.lists(st.integers(1, 9), max_size=4),
+    )
+    def test_tau_is_the_sorted_flip_and_an_involution(self, real, parts):
+        d = datum(Algebra.SL2_HAT, real, parts)
+        t = twist_tau(d)
+        assert t == sorted_flip(d)
+        assert type(t.weight) is RootVector
+        assert all(type(entry) is RealEntry for entry in t.real)
+        assert twist_tau(t) == d
+        with pytest.raises(UnsupportedKind):
+            twist_tau(datum(Algebra.A2_TWISTED, real, parts))
+
+
+def sorted_flip(d):
+    """Reference diagram flip: relabel each entry's ladder, sort, rebuild
+    through the validating constructor, which recomputes the weight."""
+    other = {LOW: HIGH, HIGH: LOW}
+    real = sorted(
+        (RealEntry(other[family], k, mult) for family, k, mult in d.real),
+        key=lambda entry: (entry.family == HIGH, entry.k),
+    )
+    return LusztigDatum(d.kind, tuple(real), d.delta)
+
 
 class TestTrapezoid:
     @pytest.mark.parametrize("kind", KINDS)

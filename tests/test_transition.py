@@ -12,8 +12,9 @@ by a digest, and single roots far up a ladder and delta=[20000] complete
 to their closed forms, and the trapezoid of delta=[20000] back to it;
 the interval join of delta=[10^5] tries only the few values that can
 pass.  The completion cache stays within its bound and stores each
-solve both ways; tests of the search clear it so that T of a partner is
-searched, not read back.
+solve both ways, and on sl2hat a miss is read from the cached flip with
+nothing stored; tests of the search clear it or call `_solve`, so that
+T of a partner or of a flip is searched, not read back.
 """
 
 import hashlib
@@ -61,6 +62,7 @@ from affmv.transition import (
     _edge_candidates,
     _ladder_leaves,
     _oracle_completions,
+    _solve,
     clear_cache,
     complete_from_left,
     complete_from_right,
@@ -350,6 +352,28 @@ class TestPlumbing:
             both = [x for d, partner in zip(data, partners) for x in (d, partner)]
             assert [known for _, known in _CACHE] == both[-5:]
 
+    @pytest.mark.parametrize("solver", [DFS, ORACLE])
+    def test_a_miss_reads_the_flip_of_a_cached_answer(self, monkeypatch, solver):
+        """T(tau d) = tau T(d): on sl2hat a miss is answered from the cached
+        flip, with no search and nothing stored."""
+        d = datum(Algebra.SL2_HAT, {(LOW, 2): 1, (HIGH, 1): 3}, (2,))
+        clear_cache()
+        partner = transition_l_to_r(d, solver)
+        cached = dict(_CACHE)
+        monkeypatch.setattr(transition, "_solve", None)  # any search would fail
+        assert transition_l_to_r(twist_tau(d), solver) == twist_tau(partner)
+        assert transition_l_to_r(twist_tau(partner), solver) == twist_tau(d)
+        assert _CACHE == cached
+
+    def test_a2_misses_take_no_flip_probe(self, monkeypatch):
+        def no_flip(d):
+            raise AssertionError("a2(2) has no diagram flip")
+
+        monkeypatch.setattr(transition, "twist_tau", no_flip)
+        clear_cache()
+        d = datum(Algebra.A2_TWISTED, {(LOW, 2): 1, (HIGH, 1): 3}, (2,))
+        assert transition_l_to_r(transition_l_to_r(d)) == d
+
     def test_zero_datum_completes_to_itself(self):
         for kind in KINDS:
             zero = datum(kind)
@@ -454,8 +478,10 @@ class TestInvolutionProperties:
     @settings(deadline=None, max_examples=100)
     @given(st.data())
     def test_T_commutes_with_the_diagram_flip(self, data):
+        # Both sides are searched: `_partner` would read one from the
+        # cached flip of the other.
         d = data.draw(bounded_data(Algebra.SL2_HAT, max_height=200))
-        assert transition_l_to_r(twist_tau(d)) == twist_tau(transition_l_to_r(d))
+        assert _solve(twist_tau(d), DFS) == twist_tau(_solve(d, DFS))
 
     @pytest.mark.parametrize("kind", KINDS)
     @settings(deadline=None, max_examples=100)

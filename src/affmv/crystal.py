@@ -184,7 +184,9 @@ class CrystalGraph:
 
     Nodes are unique elements in discovery order; edges record every
     raising-operator application from nodes strictly inside the depth
-    bound, so both endpoints always lie in `nodes`.  node_weights tracks
+    bound, so both endpoints always lie in `nodes`.  Those nodes are
+    expanded in index order, so node s's edges are edges[4*s : 4*s + 4],
+    in `_RAISERS` order: e0, e1, e0*, e1*.  node_weights tracks
     the sum of the simple roots applied along the discovery path,
     independently of the polytope weights.
     """

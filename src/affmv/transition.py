@@ -23,6 +23,15 @@ condition can allow, if any.
 Both solvers assert that exactly one completion exists and abort loudly
 if the search ever contradicts that.
 
+The search is two walks and a join.  The walk of the unknown high
+ladder reads only the known low half, and the walk of the low ladder
+only the known high half, so data of one weight that share a half share
+its walk.  `_solve` walks and joins for its one datum, streaming the low
+leaves; the uniqueness sweep of `verify` runs each walk, and builds each
+known half-path, once per distinct half among a weight's data
+(`_dfs_sweep`), and the join, with its full MV check of every candidate,
+once per datum, each answer settled and cached as `_solve` does.
+
 Completing from the left and completing from the right are one map T,
 an involution: the MV relation is symmetric under exchanging the two
 data.  Exchanging them exchanges conditions 1 and 2, and the vertical
@@ -39,18 +48,18 @@ a pure function table.  Since T is an involution, a solve stores its
 answer both ways, under the datum and under its partner: the crystal
 operators e_i and e_i* reach one polytope from its two sides and solve
 it once.  On sl2hat the diagram flip tau maps MV pairs to MV pairs, so
-T(tau d) = tau T(d): a datum missing from the cache costs one more
-lookup, of its flip (`lusztig.twist_tau`, sort-free), and a hit is
+T(tau d) = tau T(d): a datum missing from a non-empty cache costs one
+more lookup, of its flip (`lusztig.twist_tau`, sort-free), and a hit is
 flipped back.  Nothing extra is stored, so each search still adds two
-entries; a2(2) has no flip and takes no probe.  `_solve` searches even
-when the answer is cached, for checks of the search itself.
+entries; a2(2) has no flip and takes no probe.  `_solve` and the sweep
+search even when the answer is cached, for checks of the search itself.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import chain
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .lusztig import (
     LusztigDatum,
@@ -64,8 +73,11 @@ from .lusztig import (
 )
 from .polytope import (
     DecoratedPolytope,
+    HalfPath,
+    PathPrefixes,
     _left_partners,
     _pair,
+    half_path,
     mv_violations,
     part_size_ratio,
     path_prefixes,
@@ -143,12 +155,13 @@ def transition_l_to_r(d: LusztigDatum, solver: str = DFS) -> LusztigDatum:
 def _partner(known: LusztigDatum, solver: str) -> LusztigDatum:
     """The one completion of `known` by `solver`, from `_CACHE` if there.
 
-    On sl2hat a miss probes the flip of `known` once: T(tau d) = tau T(d).
+    On sl2hat a miss probes the flip of `known` once: T(tau d) = tau T(d),
+    unless the cache is empty and no probe can hit.
     """
     hit = _CACHE.get((solver, known))
     if hit is not None:
         return hit
-    if known.kind is _SL2_HAT:
+    if known.kind is _SL2_HAT and _CACHE:
         hit = _CACHE.get((solver, twist_tau(known)))
         if hit is not None:
             return twist_tau(hit)
@@ -163,6 +176,16 @@ def _solve(known: LusztigDatum, solver: str) -> LusztigDatum:
         found = _dfs_completions(known)
     else:
         raise ValueError(f"unknown solver {solver!r}")
+    return _settle(known, solver, found)
+
+
+def _settle(
+    known: LusztigDatum, solver: str, found: list[LusztigDatum]
+) -> LusztigDatum:
+    """The one completion `found` for `known` by `solver`, cached both ways.
+
+    Raises unless the search found exactly one.
+    """
     if not found:
         raise NoCompletionError(f"no completion of the datum {known}")
     if len(found) > 1:
@@ -198,6 +221,9 @@ _Picks = tuple[tuple[int, int], ...]
 # choice of m1 at index 1 and the nonzero (k, m) of picks, ascending in
 # k >= 2, which leaves (rx - m1, ry) of the weight.
 _Leaf = tuple[_Picks, int, int, int, int]
+# The high leaves of one walk as the join reads them: the points by the
+# lean of their residual, and the intervals.
+_HighTable = tuple[dict[int, list[_Leaf]], list[_Leaf]]
 
 
 def _ladder_leaves(
@@ -458,7 +484,84 @@ def _dfs_completions(known: LusztigDatum) -> list[LusztigDatum]:
     the first index where a nonzero m survives (`_ladder_leaves`).
 
     The low ladder never reads the high choices, so each ladder is
-    searched once, both bounded by the weight.  A high leaf leaves
+    searched once, both bounded by the weight: the high walk reads only
+    the known low half and the low walk only the known high half, and
+    `_join` pairs their leaves.  The low leaves are streamed, so a heavy
+    alpha1 costs no memory.
+    """
+    kind = known.kind
+    w = known.weight
+    K = weight_truncation_index(kind, w)
+    kp = path_prefixes(known, K)
+    high = _high_table(kind, _ladder_leaves(kind, HIGH, kp.low, w))
+    low = _ladder_leaves(kind, LOW, kp.high, w)
+    return _join(known, kp, high, low, K)
+
+
+def _dfs_sweep(data: Sequence[LusztigDatum]) -> Iterator[list[LusztigDatum]]:
+    """`_dfs_completions` of each datum of one weight, in order.
+
+    A walk reads one half of the known datum, so each walk runs, and
+    each known half-path is built, once per distinct half among the
+    data, and only the join runs per datum.  The low leaves of each high
+    half are kept for the data that share it.
+    """
+    if not data:
+        return
+    kind, w = data[0].kind, data[0].weight
+    K = weight_truncation_index(kind, w)
+    tables: dict[tuple[RealEntry, ...], tuple[HalfPath, _HighTable]] = {}
+    lows: dict[tuple[RealEntry, ...], tuple[HalfPath, list[_Leaf]]] = {}
+    for known in data:
+        if known.kind is not kind or known.weight != w:
+            raise ValueError(f"{known} is not of the weight {w} of the sweep")
+        real = known.real
+        at = 0  # canonical order puts the low run first
+        while at < len(real) and real[at].family == LOW:
+            at += 1
+        low_half, high_half = real[:at], real[at:]
+        if low_half not in tables:
+            low_path = half_path(kind, low_half, LOW, K)
+            high = _high_table(kind, _ladder_leaves(kind, HIGH, low_path, w))
+            tables[low_half] = low_path, high
+        if high_half not in lows:
+            high_path = half_path(kind, high_half, HIGH, K)
+            lows[high_half] = high_path, list(_ladder_leaves(kind, LOW, high_path, w))
+        low_path, high = tables[low_half]
+        high_path, low = lows[high_half]
+        yield _join(known, PathPrefixes(low_path, high_path), high, low, K)
+
+
+def _high_table(kind: Algebra, high: Iterable[_Leaf]) -> _HighTable:
+    """The high leaves tabled for `_join`.
+
+    Low-ladder weights lean >= 0, so no high point with a residual of
+    negative lean can join; dropping those keeps the table small when
+    alpha0 is heavy.
+    """
+    by_lean: dict[int, list[_Leaf]] = {}
+    spans: list[_Leaf] = []
+    for leaf in high:
+        _, lo, hi, ra, rb = leaf
+        r_lean = lean(kind, ra - lo, rb)
+        if lo < hi:
+            spans.append(leaf)
+        elif r_lean >= 0:
+            by_lean.setdefault(r_lean, []).append(leaf)
+    return by_lean, spans
+
+
+def _join(
+    known: LusztigDatum,
+    kp: PathPrefixes,
+    high: _HighTable,
+    low: Iterable[_Leaf],
+    K: int,
+) -> list[LusztigDatum]:
+    """Every partner of `known` among the joins of the high and low leaves.
+
+    kp is the known datum's half-paths at K, and `high` and `low` are
+    the leaves of the walks against them.  A high leaf leaves
     r = (ra - m1, rb), and a low leaf uses u = (ua, ub + m1); they join
     when r - u is n*delta with n >= 0.  Since delta = (1, ratio), with
     ratio = `roots.length_ratio`, that is lean(r) == lean(u), where a
@@ -469,7 +572,6 @@ def _dfs_completions(known: LusztigDatum) -> list[LusztigDatum]:
     point against an interval, a progression for two intervals.  High
     points are tabled by lean; a low point joins those with its lean and
     the high interval, and the low interval joins every high leaf.  The
-    low leaves are streamed, so a heavy alpha1 costs no memory.  The
     leftover admits at most one candidate partition.
 
     Every assembled pair still runs the full MV check, so solving and
@@ -478,24 +580,8 @@ def _dfs_completions(known: LusztigDatum) -> list[LusztigDatum]:
     kind = known.kind
     w = known.weight
     ratio = length_ratio(kind)
-    K = weight_truncation_index(kind, w)
-    kp = path_prefixes(known, K)
     low_end = kp.low.end
-    high = _ladder_leaves(kind, HIGH, kp.low, w)
-    low = _ladder_leaves(kind, LOW, kp.high, w)
-    # Low-ladder weights lean >= 0, so no high point with a residual of
-    # negative lean can join; dropping those keeps the table small when
-    # alpha0 is heavy.
-    by_lean: dict[int, list[_Leaf]] = {}
-    spans: list[_Leaf] = []
-    for leaf in high:
-        _, lo, hi, ra, rb = leaf
-        r_lean = lean(kind, ra - lo, rb)
-        if lo < hi:
-            spans.append(leaf)
-        elif r_lean >= 0:
-            by_lean.setdefault(r_lean, []).append(leaf)
-
+    by_lean, spans = high
     sols: list[LusztigDatum] = []
     for low_picks, lo, hi, rb, ra in low:
         ua, ub = w.a - ra, w.b - rb

@@ -30,7 +30,7 @@ from .roots import (
     RootVector,
     simple_reflection,
 )
-from .transition import DFS, SolverInvariantError, _solve
+from .transition import DFS, SolverInvariantError, _dfs_sweep, _settle
 
 __all__ = [
     "Report",
@@ -42,6 +42,11 @@ __all__ = [
 ]
 
 _FAILURE_CAP = 12
+# The saito sweep's one-solve strings checked against unit steps: the
+# first _STRING_NODES nodes, up to _STRING_LENGTH steps.  Each string costs
+# a solve, and the whole check stays under 1 % of the sweep.
+_STRING_NODES = 2
+_STRING_LENGTH = 3
 
 
 @dataclass(frozen=True)
@@ -125,7 +130,9 @@ def check_uniqueness(kind: Algebra, box: RootVector) -> Report:
     the pruned search must return exactly the baseline partner both
     ways: its one answer T(d), searched anew for every datum rather
     than read from the cache, is compared with the right and the left
-    partner.
+    partner.  The search's two ladder walks are shared per distinct half
+    among the weight's data and its join runs per datum
+    (`transition._dfs_sweep`).
     """
     t = _Tally()
     for w in _box_weights(box):
@@ -158,11 +165,11 @@ def check_uniqueness(kind: Algebra, box: RootVector) -> Report:
             t.fail(f"weight {w}: pair ({i},{j}) verdict differs after side swap")
         t.hit("swap symmetry failures", 0)
         t.hit("completion count failures", 0)
-        for i, d in enumerate(data):
+        for i, (d, found) in enumerate(zip(data, _dfs_sweep(data))):
             t.hit("dfs completions", 2)
             try:
                 # searched: the solve of its partner may have cached T(d)
-                got = _solve(d, DFS)
+                got = _settle(d, DFS, found)
             except SolverInvariantError as err:
                 t.hit("dfs mismatches")
                 t.fail(f"weight {w}: pruned solver failed on {d}: {err}")
@@ -294,7 +301,12 @@ def check_saito_formulas(
     with the threshold exponent and `slack` larger ones; all must return
     the twist-defined reflection.  The opposite hypothesis/formula
     pairing is also applied and its mismatches are reported as notes,
-    since the adopted convention predicts it fails.
+    since the adopted convention predicts it fails.  Past the threshold
+    the formula cannot tell how far a string raised, so on the graph's
+    first `_STRING_NODES` nodes each string e_i^n, 2 <= n <=
+    `_STRING_LENGTH`, taken in one solve (`crystal._raise`), must end
+    where the graph's unit e_i edges do; a mismatch is a failure and
+    adds no count.
     """
     g = graph if graph is not None else crystal_graph(kind, depth)
     t = _Tally()
@@ -325,6 +337,17 @@ def check_saito_formulas(
                     opposite_mismatches += 1
                     if first_mismatch is None:
                         first_mismatch = f"node {idx} (weight {b.weight}), i={i}"
+    # One-solve strings against unit steps.  Node s's e_i edge is
+    # edges[4*s + i] (`CrystalGraph`).
+    for idx in range(min(_STRING_NODES, len(g.nodes))):
+        for i in (0, 1):
+            at = idx
+            for n in range(1, _STRING_LENGTH + 1):
+                if 4 * at + i >= len(g.edges):
+                    break
+                at = g.edges[4 * at + i][2]
+                if n > 1 and crystal._raise(i, g.nodes[idx], n) != g.nodes[at]:
+                    t.fail(f"node {idx}: e_{i}^{n} in one solve is not {n} unit steps")
     t.hit("opposite pairing mismatches", opposite_mismatches)
     if first_mismatch is not None:
         t.notes.append(

@@ -59,6 +59,8 @@ from affmv.transition import (
     DFS,
     ORACLE,
     _CACHE,
+    _dfs_completions,
+    _dfs_sweep,
     _edge_candidates,
     _ladder_leaves,
     _oracle_completions,
@@ -186,6 +188,39 @@ class TestSolverAgreement:
             assert partner.weight == d.weight
             moved += partner != d
         assert moved > 0
+
+
+class TestSharedWalks:
+    """`_dfs_sweep`, which walks each distinct half of a weight once,
+    against one search per datum."""
+
+    BOXES = {
+        Algebra.SL2_HAT: RootVector(6, 6),
+        Algebra.A2_TWISTED: RootVector(4, 8),
+    }
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_sweep_equals_one_search_per_datum(self, kind):
+        rng = random.Random(23)
+        box = self.BOXES[kind]
+        for a in range(box.a + 1):
+            for b in range(box.b + 1):
+                data = enumerate_data(kind, RootVector(a, b))
+                clear_cache()
+                solved = {d: [_solve(d, DFS)] for d in data}
+                assert solved == {d: _dfs_completions(d) for d in data}
+                # In canonical order, shuffled, and shuffled with repeats.
+                shuffled = rng.sample(data, len(data))
+                repeated = shuffled + rng.choices(data, k=len(data) // 2 + 1)
+                rng.shuffle(repeated)
+                for batch in (data, shuffled, repeated):
+                    assert list(_dfs_sweep(batch)) == [solved[d] for d in batch]
+
+    def test_a_sweep_takes_one_weight(self):
+        sl2 = Algebra.SL2_HAT
+        data = [datum(sl2, {(LOW, 1): 1}), datum(sl2, {(HIGH, 1): 1})]
+        with pytest.raises(ValueError, match="not of the weight"):
+            list(_dfs_sweep(data))
 
 
 class TestOracle:
@@ -373,6 +408,17 @@ class TestPlumbing:
         clear_cache()
         d = datum(Algebra.A2_TWISTED, {(LOW, 2): 1, (HIGH, 1): 3}, (2,))
         assert transition_l_to_r(transition_l_to_r(d)) == d
+
+    def test_a_cold_solve_takes_no_flip_probe(self, monkeypatch):
+        """On an empty cache the probe cannot hit, so it is not made."""
+        def no_flip(d):
+            raise AssertionError("an empty cache holds no flip")
+
+        monkeypatch.setattr(transition, "twist_tau", no_flip)
+        clear_cache()
+        d = datum(Algebra.SL2_HAT, {(LOW, 2): 1, (HIGH, 1): 3}, (2,))
+        P = complete_from_left(d)
+        assert P.left == d and is_mv(P).ok
 
     def test_zero_datum_completes_to_itself(self):
         for kind in KINDS:

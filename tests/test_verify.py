@@ -94,15 +94,16 @@ class TestUniqueness:
 
     def test_the_search_runs_on_every_datum(self, monkeypatch):
         """A solve caches its partner's answer too; the check searches
-        each datum afresh all the same."""
+        each datum afresh all the same.  The walks are shared per half,
+        so the per-datum join is what is counted."""
         searched = []
-        dfs = transition._dfs_completions
+        join = transition._join
 
-        def counting(known):
+        def counting(known, *args):
             searched.append(known)
-            return dfs(known)
+            return join(known, *args)
 
-        monkeypatch.setattr(transition, "_dfs_completions", counting)
+        monkeypatch.setattr(transition, "_join", counting)
         transition.clear_cache()
         rep = check_uniqueness(Algebra.SL2_HAT, RootVector(3, 3))
         assert rep.passed
@@ -193,6 +194,22 @@ class TestNodeSweeps:
             rep.count("reflection nodes") + rep.count("starred reflection nodes")
         )
         assert rep.count("opposite pairing mismatches") > 0
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_saito_sweep_sees_a_string_that_raises_too_far(self, kind, monkeypatch):
+        """Past the threshold the formulas cannot tell how far a string
+        went; the sweep's unit-step comparison can, with no count added."""
+        passing = check_saito_formulas(kind, SMALL_DEPTH)
+        raise_ = crystal._raise
+
+        def too_far(i, b, by):
+            return raise_(i, b, by + 1 if by > 1 else by)
+
+        monkeypatch.setattr(crystal, "_raise", too_far)
+        rep = check_saito_formulas(kind, SMALL_DEPTH)
+        assert not rep.passed
+        assert "node 0: e_0^2 in one solve is not 2 unit steps" in rep.failures
+        assert rep.counts == passing.counts
 
     @pytest.mark.parametrize("kind", KINDS)
     @settings(deadline=None, max_examples=50)

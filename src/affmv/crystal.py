@@ -26,6 +26,7 @@ from .lusztig import (
     PreconditionViolated,
     RealEntry,
     _derived,
+    _ladder_runs,
     datum,
     twist_s,
     twist_tau,
@@ -64,24 +65,22 @@ def _bump(d: LusztigDatum, family: str, by: int) -> LusztigDatum:
     """d with its index-1 multiplicity on `family` moved by `by`.
 
     Equal to `d.with_mult(family, 1, d.mult(family, 1) + by)`, without
-    the rebuild and re-validation: in canonical order (LOW, 1) is entry
-    0 and (HIGH, 1) the first entry after the low run, so one splice
-    keeps the order, and the weight moves by `by` times alpha_i.
+    the rebuild and re-validation: (family, 1) leads its run of the
+    canonical order (`lusztig._ladder_runs`), so one splice keeps the
+    order, and the weight moves by `by` times alpha_i.
     """
-    real = d.real
-    at = 0
-    if family == HIGH:
-        while at < len(real) and real[at].family == LOW:
-            at += 1
-    held = at < len(real) and real[at].family == family and real[at].k == 1
-    mult = (real[at].mult if held else 0) + by
+    low, high = _ladder_runs(d.real)
+    run = high if family == HIGH else low
+    held = run[0].mult if run and run[0].k == 1 else 0
+    mult = held + by
     if mult < 0:
         raise ValueError(f"multiplicity must be an integer >= 1, got {mult!r}")
     entry = (_new(RealEntry, (family, 1, mult)),) if mult else ()
-    rest = real[at + 1 :] if held else real[at:]
+    run = entry + (run[1:] if held else run)
     a, b = d.weight
-    weight = _new(RootVector, (a + by, b) if family == HIGH else (a, b + by))
-    return _derived(d.kind, real[:at] + entry + rest, d.delta, weight)
+    if family == HIGH:
+        return _derived(d.kind, low + run, d.delta, _new(RootVector, (a + by, b)))
+    return _derived(d.kind, run + high, d.delta, _new(RootVector, (a, b + by)))
 
 
 def _raise(i: int, b: DecoratedPolytope, by: int) -> DecoratedPolytope:

@@ -156,6 +156,18 @@ def _canonical(entry: tuple[str, int, int] | tuple[str, int]) -> tuple[int, int]
     return (0 if entry[0] == LOW else 1), entry[1]
 
 
+def _ladder_runs(real: tuple[RealEntry, ...]) -> tuple[tuple[RealEntry, ...], ...]:
+    """The low run and the high run of the canonical-order entries `real`.
+
+    Canonical order puts every low entry first, each run ascending in k,
+    so the two runs are one cut of `real` at its first high entry.
+    """
+    for at, entry in enumerate(real):
+        if entry.family != LOW:
+            return real[:at], real[at:]
+    return real, ()
+
+
 class _DatumFields(NamedTuple):
     kind: Algebra
     real: tuple[RealEntry, ...]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .lusztig import LusztigDatum, Partition, RealEntry, largest_part, partitions
-from .lusztig import remove_part
+from .lusztig import _ladder_runs, remove_part
 from .roots import HIGH, LOW, Algebra, RootVector, ladder_root, lean, length_ratio
 from .roots import _new, max_real_index
 
@@ -127,11 +127,13 @@ class PathTooLong(ValueError):
 
 
 def half_path(
-    kind: Algebra, real: Sequence[RealEntry], family: str, upto: int
+    kind: Algebra, run: Sequence[RealEntry], family: str, upto: int
 ) -> HalfPath:
-    """The `family` ladder of the canonical-order entries `real`, indices 0..upto.
+    """The `family` ladder of a datum, indices 0..upto, from its run of entries.
 
-    Entries past `upto` are left out; the cost is in the entries, not `upto`.
+    `run` is the datum's `family` run (`lusztig._ladder_runs`), ascending
+    in k.  Entries past `upto` are left out; the cost is in the entries,
+    not `upto`.
     """
     if upto > MAX_PATH_INDEX:
         raise PathTooLong(
@@ -140,9 +142,9 @@ def half_path(
     xs: list[int] = []
     ys: list[int] = []
     a = b = 0
-    for entry_family, k, mult in real:
-        if entry_family != family or k > upto:
-            continue
+    for _, k, mult in run:
+        if k > upto:
+            break
         xs += [a] * (k - len(xs))
         ys += [b] * (k - len(ys))
         ra, rb = ladder_root(kind, family, k)
@@ -156,8 +158,9 @@ def half_path(
 
 
 def path_prefixes(d: LusztigDatum, upto: int) -> PathPrefixes:
+    low, high = _ladder_runs(d.real)
     return PathPrefixes(
-        half_path(d.kind, d.real, LOW, upto), half_path(d.kind, d.real, HIGH, upto)
+        half_path(d.kind, low, LOW, upto), half_path(d.kind, high, HIGH, upto)
     )
 
 
@@ -402,8 +405,8 @@ def _left_partners(
     right_highs: dict[HalfPath, list[int]] = {}
     ends = []  # per right: the ends of its low and its high half
     for j, d in enumerate(rights):
-        cut = [entry.family for entry in d.real].count(LOW)  # low entries lead
-        R_low, R_high = path(LOW, d.real[:cut]), path(HIGH, d.real[cut:])
+        low, high = _ladder_runs(d.real)
+        R_low, R_high = path(LOW, low), path(HIGH, high)
         right_lows.setdefault(R_low, []).append(j)
         right_highs.setdefault(R_high, []).append(j)
         ends.append((R_low.end, R_high.end))
@@ -427,8 +430,7 @@ def _left_partners(
     hits: list[_Hit] = []
     i = 0
     for real, n in walk:
-        cut = [entry.family for entry in real].count(LOW)
-        high, low = real[cut:], real[:cut]
+        low, high = _ladder_runs(real)
         high_end, ok1 = high_memo.get(high) or scan(high_memo, high, HIGH, right_lows)
         both: list[int] = []
         if ok1:

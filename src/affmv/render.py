@@ -11,7 +11,7 @@ exactly reproducible.
 
 from __future__ import annotations
 
-from .lusztig import LusztigDatum
+from .lusztig import LusztigDatum, _ladder_runs
 from .polytope import DecoratedPolytope
 from .roots import HIGH, LOW, Algebra, RootVector, beta, delta
 
@@ -28,10 +28,12 @@ def _embed(kind: Algebra, v: RootVector) -> tuple[int, int]:
     return (v.a * x0 + v.b * x1, v.a * y0 + v.b * y1)
 
 
-def _ladder_steps(d: LusztigDatum, family: str, ascending: bool) -> list[RootVector]:
-    entries = [e for e in d.real if e.family == family]
-    entries.sort(key=lambda e: e.k, reverse=not ascending)
-    return [e.mult * beta(d.kind, e.family, e.k) for e in entries]
+def _ladder_steps(d: LusztigDatum, family: str) -> list[RootVector]:
+    """The edges of d's `family` ladder in the order the boundary takes
+    them: the low ladder ascending in k, the high one descending."""
+    low, high = _ladder_runs(d.real)
+    run = low if family == LOW else reversed(high)
+    return [mult * beta(d.kind, family, k) for _, k, mult in run]
 
 
 def boundary_geometry(
@@ -67,12 +69,12 @@ def boundary_geometry(
             ticks.append(corners[-1] + sign * (run * dv))
         corners.append(corners[-1] + sign * (total * dv))
 
-    walk(_ladder_steps(P.right, LOW, ascending=True), +1)
+    walk(_ladder_steps(P.right, LOW), +1)
     vertical(P.right.delta, +1)
-    walk(_ladder_steps(P.right, HIGH, ascending=False), +1)
-    walk(_ladder_steps(P.left, LOW, ascending=True), -1)
+    walk(_ladder_steps(P.right, HIGH), +1)
+    walk(_ladder_steps(P.left, LOW), -1)
     vertical(P.left.delta, -1)
-    walk(_ladder_steps(P.left, HIGH, ascending=False), -1)
+    walk(_ladder_steps(P.left, HIGH), -1)
 
     embedded = [_embed(kind, c) for c in corners]
     if embedded[-1] == embedded[0] and len(embedded) > 1:

@@ -26,11 +26,12 @@ if the search ever contradicts that.
 The search is two walks and a join.  The walk of the unknown high
 ladder reads only the known low half, and the walk of the low ladder
 only the known high half, so data of one weight that share a half share
-its walk.  `_solve` walks and joins for its one datum, streaming the low
-leaves; the uniqueness sweep of `verify` runs each walk, and builds each
-known half-path, once per distinct half among a weight's data
-(`_dfs_sweep`), and the join, with its full MV check of every candidate,
-once per datum, each answer settled and cached as `_solve` does.
+its walk.  `_dfs_sweep` is the one search: it runs each walk, and builds
+each known half-path, once per distinct half among the data of one
+weight, and the join, with its full MV check of every candidate, once
+per datum.  `_solve` sweeps its one datum; the uniqueness sweep of
+`verify` sweeps every datum of a weight and settles each answer as
+`_solve` does.
 
 Completing from the left and completing from the right are one map T,
 an involution: the MV relation is symmetric under exchanging the two
@@ -66,6 +67,7 @@ from .lusztig import (
     Partition,
     RealEntry,
     _derived,
+    _ladder_runs,
     _real_parts,
     add_part,
     remove_part,
@@ -171,9 +173,9 @@ def _partner(known: LusztigDatum, solver: str) -> LusztigDatum:
 def _solve(known: LusztigDatum, solver: str) -> LusztigDatum:
     """Search `known`'s one completion by `solver`, cached or not, and cache it."""
     if solver == ORACLE:
-        found, _ = _oracle_completions(known)
+        found = _oracle_completions(known)
     elif solver == DFS:
-        found = _dfs_completions(known)
+        (found,) = _dfs_sweep((known,))
     else:
         raise ValueError(f"unknown solver {solver!r}")
     return _settle(known, solver, found)
@@ -199,21 +201,18 @@ def _settle(
     return partner
 
 
-def _oracle_completions(known: LusztigDatum) -> tuple[list[LusztigDatum], int]:
+def _oracle_completions(known: LusztigDatum) -> list[LusztigDatum]:
     """Generate and test: every datum of the same weight gets an MV verdict.
 
     The candidates, placed on the left, are the data of `enumerate_data`
     in its order, judged against `known` by `polytope._left_partners`
     without being built; only a candidate that passes is built as a
     datum.
-
-    Returns the passing data and the number of candidates judged, which
-    is the number of data of the weight.
     """
     kind = known.kind
     w = known.weight
-    hits, judged = _left_partners(kind, w, [known], _real_parts(kind, w))
-    return [_derived(kind, real, parts, w) for _, _, real, parts in hits], judged
+    hits, _ = _left_partners(kind, w, [known], _real_parts(kind, w))
+    return [_derived(kind, real, parts, w) for _, _, real, parts in hits]
 
 
 _Picks = tuple[tuple[int, int], ...]
@@ -449,7 +448,7 @@ def _assemble(
     parts: Partition,
     w: RootVector,
 ) -> LusztigDatum:
-    """The candidate datum of one join in `_dfs_completions`, of weight w.
+    """The candidate datum of one join in `_join`, of weight w.
 
     Each ladder is its index-1 multiplicity and its picks at k >= 2.
     Its weight is w by construction: the low ladder uses u, the high
@@ -466,9 +465,10 @@ def _assemble(
     return _derived(kind, tuple(real), parts, w)
 
 
-def _dfs_completions(known: LusztigDatum) -> list[LusztigDatum]:
-    """Solved search for every partner of `known`.
+def _dfs_sweep(data: Sequence[LusztigDatum]) -> Iterator[list[LusztigDatum]]:
+    """Solved search for every partner of each datum of one weight, in order.
 
+    Yields one list of partners per datum; `_solve` sweeps its one datum.
     The unknown datum sits on the left.  Condition 1 pairs its high
     half with the known low half, condition 2 its low half with the
     known high half, and at each k >= 2 exactly one term of the pairing
@@ -486,25 +486,11 @@ def _dfs_completions(known: LusztigDatum) -> list[LusztigDatum]:
     The low ladder never reads the high choices, so each ladder is
     searched once, both bounded by the weight: the high walk reads only
     the known low half and the low walk only the known high half, and
-    `_join` pairs their leaves.  The low leaves are streamed, so a heavy
-    alpha1 costs no memory.
-    """
-    kind = known.kind
-    w = known.weight
-    K = weight_truncation_index(kind, w)
-    kp = path_prefixes(known, K)
-    high = _high_table(kind, _ladder_leaves(kind, HIGH, kp.low, w))
-    low = _ladder_leaves(kind, LOW, kp.high, w)
-    return _join(known, kp, high, low, K)
-
-
-def _dfs_sweep(data: Sequence[LusztigDatum]) -> Iterator[list[LusztigDatum]]:
-    """`_dfs_completions` of each datum of one weight, in order.
-
-    A walk reads one half of the known datum, so each walk runs, and
-    each known half-path is built, once per distinct half among the
-    data, and only the join runs per datum.  The low leaves of each high
-    half are kept for the data that share it.
+    `_join` pairs their leaves.  So each walk runs, and each known
+    half-path is built, once per distinct half among the data, and only
+    the join runs per datum.  The low leaves of each high half are kept
+    for the data that share it.  A datum of another weight raises
+    `ValueError`.
     """
     if not data:
         return
@@ -515,20 +501,18 @@ def _dfs_sweep(data: Sequence[LusztigDatum]) -> Iterator[list[LusztigDatum]]:
     for known in data:
         if known.kind is not kind or known.weight != w:
             raise ValueError(f"{known} is not of the weight {w} of the sweep")
-        real = known.real
-        at = 0  # canonical order puts the low run first
-        while at < len(real) and real[at].family == LOW:
-            at += 1
-        low_half, high_half = real[:at], real[at:]
-        if low_half not in tables:
+        low_half, high_half = _ladder_runs(known.real)
+        table = tables.get(low_half)
+        if table is None:
             low_path = half_path(kind, low_half, LOW, K)
             high = _high_table(kind, _ladder_leaves(kind, HIGH, low_path, w))
-            tables[low_half] = low_path, high
-        if high_half not in lows:
+            table = tables[low_half] = low_path, high
+        leaves = lows.get(high_half)
+        if leaves is None:
             high_path = half_path(kind, high_half, HIGH, K)
-            lows[high_half] = high_path, list(_ladder_leaves(kind, LOW, high_path, w))
-        low_path, high = tables[low_half]
-        high_path, low = lows[high_half]
+            low = list(_ladder_leaves(kind, LOW, high_path, w))
+            leaves = lows[high_half] = high_path, low
+        (low_path, high), (high_path, low) = table, leaves
         yield _join(known, PathPrefixes(low_path, high_path), high, low, K)
 
 

@@ -9,8 +9,10 @@ import io
 import json
 import os
 import resource
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -506,3 +508,43 @@ class TestUsage:
         assert exc.value.code == 2
         assert "must be >= 0" in capsys.readouterr().err
 
+
+def readme_examples():
+    """The `affmv` commands of README's usage block that need no file and
+    no other program, as (argv, stdin): an `echo` piped in is the stdin."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    blocks = [b.split("```", 1)[0] for b in readme.split("```sh\n")[1:]]
+    usage = next(b for b in blocks if "affmv complete" in b)
+    examples = []
+    for line in usage.replace("\\\n", " ").splitlines():
+        if not line or line.startswith("#"):
+            continue
+        stdin = None
+        if line.startswith("echo "):
+            echoed, line = line.split("|", 1)
+            stdin = shlex.split(echoed)[1]
+        words = shlex.split(line)
+        if "|" not in words and not any(w.endswith(".json") for w in words):
+            examples.append((words[1:], stdin))
+    return examples
+
+
+README_EXAMPLES = readme_examples()
+README_COMMANDS = [" ".join(argv[:2]) for argv, _ in README_EXAMPLES]
+
+
+class TestReadmeExamples:
+    def test_the_file_free_examples_are_the_four_expected(self):
+        assert README_COMMANDS == [
+            "complete --side",
+            "op e1 e0* e0* s0",
+            "verify all",
+            "verify uniqueness",
+        ]
+
+    @pytest.mark.parametrize("argv, stdin", README_EXAMPLES, ids=README_COMMANDS)
+    def test_each_example_exits_0(self, capsys, monkeypatch, argv, stdin):
+        if stdin is not None:
+            monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        code, out, _ = run(capsys, *argv)
+        assert code == cli.EXIT_OK and out

@@ -376,13 +376,13 @@ class TestGraphs:
         reads the cached flip, so no two searched data lie in one
         {id, *, tau} orbit."""
         searched = []
-        dfs = transition._dfs_completions
+        join = transition._join
 
-        def counting(known):
+        def counting(known, *args):
             searched.append(known)
-            return dfs(known)
+            return join(known, *args)
 
-        monkeypatch.setattr(transition, "_dfs_completions", counting)
+        monkeypatch.setattr(transition, "_join", counting)
         clear_cache()
         crystal_graph(kind, 8)
         orbits = set()

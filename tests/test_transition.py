@@ -40,6 +40,7 @@ from affmv.lusztig import (
 )
 from affmv.polytope import (
     DecoratedPolytope,
+    _left_partners,
     is_mv,
     path_prefixes,
     weight_truncation_index,
@@ -59,7 +60,6 @@ from affmv.transition import (
     DFS,
     ORACLE,
     _CACHE,
-    _dfs_completions,
     _dfs_sweep,
     _edge_candidates,
     _ladder_leaves,
@@ -191,8 +191,8 @@ class TestSolverAgreement:
 
 
 class TestSharedWalks:
-    """`_dfs_sweep`, which walks each distinct half of a weight once,
-    against one search per datum."""
+    """`_dfs_sweep` over many data of a weight, which walks each distinct
+    half once, against `_solve`, which sweeps one datum at a time."""
 
     BOXES = {
         Algebra.SL2_HAT: RootVector(6, 6),
@@ -208,7 +208,6 @@ class TestSharedWalks:
                 data = enumerate_data(kind, RootVector(a, b))
                 clear_cache()
                 solved = {d: [_solve(d, DFS)] for d in data}
-                assert solved == {d: _dfs_completions(d) for d in data}
                 # In canonical order, shuffled, and shuffled with repeats.
                 shuffled = rng.sample(data, len(data))
                 repeated = shuffled + rng.choices(data, k=len(data) // 2 + 1)
@@ -229,16 +228,19 @@ class TestOracle:
     @pytest.mark.parametrize("kind", KINDS)
     def test_every_datum_of_a_tiny_weight_is_judged(self, kind):
         for d in tiny_data(kind):
-            found, judged = _oracle_completions(d)
-            assert judged == count_data(kind, d.weight)
-            assert found == [transition_l_to_r(d, solver=DFS)]
+            w = d.weight
+            _, judged = _left_partners(kind, w, [d], _real_parts(kind, w))
+            assert judged == count_data(kind, w)
+            assert _oracle_completions(d) == [transition_l_to_r(d, solver=DFS)]
 
     def test_every_datum_of_the_reference_weight_is_judged(
         self, reference_left, reference_right
     ):
-        found, judged = _oracle_completions(reference_right)
-        assert judged == count_data(Algebra.SL2_HAT, REFERENCE_WEIGHT) == 263175
-        assert found == [reference_left]
+        sl2, w = Algebra.SL2_HAT, REFERENCE_WEIGHT
+        hits, judged = _left_partners(sl2, w, [reference_right], _real_parts(sl2, w))
+        assert judged == count_data(sl2, w) == 263175
+        (hit,) = hits
+        assert hit[2:] == (reference_left.real, reference_left.delta)
 
 
 LARGE_DATA = {
@@ -575,8 +577,9 @@ def _reference_leaves(table, X, Y, nxt, wx, wy):
 
 
 def ladder_inputs(known, family):
-    """The arguments `_dfs_completions` gives `_ladder_leaves` for the
-    unknown datum's `family` ladder: the known half it pairs with."""
+    """The arguments `_dfs_sweep` gives `_ladder_leaves` for the unknown
+    datum's `family` ladder when it sweeps `known`: the known half it
+    pairs with."""
     kind, w = known.kind, known.weight
     kp = path_prefixes(known, weight_truncation_index(kind, w))
     return kind, family, kp.low if family == HIGH else kp.high, w

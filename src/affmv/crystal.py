@@ -15,6 +15,9 @@ the strings of the reflection formulas never build their middle
 elements.
 Reflections are realized by twisting the datum whose extreme
 multiplicity vanishes and re-completing.
+Graph growth records every raiser as an edge, and finds each target by
+the one datum that raiser fixes (edge rules (C1)-(C4)): nodes are
+indexed by both data, so only a new node is completed.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .lusztig import (
     PreconditionViolated,
     RealEntry,
     _derived,
-    _ladder_runs,
     datum,
     twist_s,
     twist_tau,
@@ -65,22 +67,27 @@ def _bump(d: LusztigDatum, family: str, by: int) -> LusztigDatum:
     """d with its index-1 multiplicity on `family` moved by `by`.
 
     Equal to `d.with_mult(family, 1, d.mult(family, 1) + by)`, without
-    the rebuild and re-validation: (family, 1) leads its run of the
-    canonical order (`lusztig._ladder_runs`), so one splice keeps the
-    order, and the weight moves by `by` times alpha_i.
+    the rebuild and re-validation: in canonical order (family, 1) heads
+    its run, at the start of `real` for the low ladder and at the first
+    high entry for the high one, so one splice there keeps the order,
+    and the weight moves by `by` times alpha_i.
     """
-    low, high = _ladder_runs(d.real)
-    run = high if family == HIGH else low
-    held = run[0].mult if run and run[0].k == 1 else 0
+    kind, real, delta, (a, b) = d
+    n = len(real)
+    at = 0
+    if family == HIGH:
+        while at < n and real[at][0] == LOW:
+            at += 1
+        weight = (a + by, b)
+    else:
+        weight = (a, b + by)
+    held = real[at][2] if at < n and real[at][1] == 1 and real[at][0] == family else 0
     mult = held + by
     if mult < 0:
         raise ValueError(f"multiplicity must be an integer >= 1, got {mult!r}")
     entry = (_new(RealEntry, (family, 1, mult)),) if mult else ()
-    run = entry + (run[1:] if held else run)
-    a, b = d.weight
-    if family == HIGH:
-        return _derived(d.kind, low + run, d.delta, _new(RootVector, (a + by, b)))
-    return _derived(d.kind, run + high, d.delta, _new(RootVector, (a, b + by)))
+    real = real[:at] + entry + real[at + 1 if held else at :]
+    return _derived(kind, real, delta, _new(RootVector, weight))
 
 
 def _raise(i: int, b: DecoratedPolytope, by: int) -> DecoratedPolytope:
@@ -185,7 +192,8 @@ class CrystalGraph:
     raising-operator application from nodes strictly inside the depth
     bound, so both endpoints always lie in `nodes`.  Those nodes are
     expanded in index order, so node s's edges are edges[4*s : 4*s + 4],
-    in `_RAISERS` order: e0, e1, e0*, e1*.  node_weights tracks
+    in `_RAISERS` order: e0, e1, e0*, e1*.  Each edge's target is the
+    one element holding the datum its raiser fixes.  node_weights tracks
     the sum of the simple roots applied along the discovery path,
     independently of the polytope weights.
     """
@@ -198,21 +206,29 @@ class CrystalGraph:
     edges: tuple[tuple[int, str, int], ...]
 
 
-_RAISERS: tuple[tuple[str, int, bool, RootVector], ...] = (
-    ("e0", 0, False, ALPHA0),
-    ("e1", 1, False, ALPHA1),
-    ("e0*", 0, True, ALPHA0),
-    ("e1*", 1, True, ALPHA1),
+# Each raiser bumps by one the index-1 multiplicity of one family in one
+# datum, side 0 the left and 1 the right, and re-completes the other.
+_RAISERS: tuple[tuple[str, int, str, RootVector], ...] = (
+    ("e0", 1, HIGH, ALPHA0),
+    ("e1", 0, LOW, ALPHA1),
+    ("e0*", 0, HIGH, ALPHA0),
+    ("e1*", 1, LOW, ALPHA1),
 )
 
 
 def crystal_graph(kind: Algebra, depth: int) -> CrystalGraph:
-    """All elements within `depth` raising steps of the lowest element."""
+    """All elements within `depth` raising steps of the lowest element.
+
+    A raiser's target is the one element holding its bumped datum on
+    that side, since T is a bijection.  Nodes are indexed by their left
+    and by their right datum, so only a datum no node holds yet is
+    completed, once per new node.
+    """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth!r}")
     start = lowest(kind)
     nodes = [start]
-    index = {start: 0}
+    held = ({start.left: 0}, {start.right: 0})
     node_depths = [0]
     node_weights = [ZERO]
     edges: list[tuple[int, str, int]] = []
@@ -221,12 +237,13 @@ def crystal_graph(kind: Algebra, depth: int) -> CrystalGraph:
         new_frontier: list[int] = []
         for src in frontier:
             b = nodes[src]
-            for label, i, starred, alpha in _RAISERS:
-                target = e_star(i, b) if starred else e(i, b)
-                at = index.get(target)
+            for label, side, family, alpha in _RAISERS:
+                d = _bump(b[side], family, 1)
+                at = held[side].get(d)
                 if at is None:
+                    target = complete_from_right(d) if side else complete_from_left(d)
                     at = len(nodes)
-                    index[target] = at
+                    held[0][target.left] = held[1][target.right] = at
                     nodes.append(target)
                     node_depths.append(level + 1)
                     node_weights.append(node_weights[src] + alpha)

@@ -8,7 +8,8 @@ Hypothesis carries the string power `_raise` and the triangle/tube law
 to random completions.  A cold graph searches each polytope once, from
 whichever side it is reached first, and on sl2hat each {id, *, tau}
 orbit once: a miss probes the cache once more for its diagram flip and
-stores nothing extra.  The flip tests clear the cache between their two
+stores nothing extra.  Graph growth completes only its new nodes and
+equals a reference growth that applies every operator.  The flip tests clear the cache between their two
 sides, so neither is read from the other.
 """
 
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from affmv import transition
 from affmv.crystal import (
+    CrystalGraph,
     _raise,
     crystal_graph,
     e,
@@ -42,7 +44,7 @@ from affmv.lusztig import (
     twist_tau,
 )
 from affmv.polytope import is_mv
-from affmv.roots import ALPHA0, ALPHA1, HIGH, LOW, Algebra, simple_reflection
+from affmv.roots import ALPHA0, ALPHA1, HIGH, LOW, ZERO, Algebra, simple_reflection
 from affmv.transition import (
     DFS,
     _solve,
@@ -327,6 +329,37 @@ class TestKashiwaraSaito:
         assert merged  # the condition was exercised
 
 
+def operator_graph(kind, depth):
+    """Reference growth: every raising operator on every inner node, each
+    target looked up by its polytope."""
+    ops = (
+        ("e0", e, 0, ALPHA0),
+        ("e1", e, 1, ALPHA1),
+        ("e0*", e_star, 0, ALPHA0),
+        ("e1*", e_star, 1, ALPHA1),
+    )
+    nodes = [lowest(kind)]
+    index = {nodes[0]: 0}
+    node_depths, node_weights, edges = [0], [ZERO], []
+    frontier = [0]
+    for level in range(depth):
+        new_frontier = []
+        for src in frontier:
+            for label, op, i, alpha in ops:
+                target = op(i, nodes[src])
+                if target not in index:
+                    index[target] = len(nodes)
+                    nodes.append(target)
+                    node_depths.append(level + 1)
+                    node_weights.append(node_weights[src] + alpha)
+                    new_frontier.append(index[target])
+                edges.append((src, label, index[target]))
+        frontier = new_frontier
+    return CrystalGraph(
+        kind, depth, tuple(nodes), tuple(node_depths), tuple(node_weights), tuple(edges)
+    )
+
+
 class TestGraphs:
     def test_first_shell(self):
         g = crystal_graph(Algebra.SL2_HAT, 1)
@@ -393,6 +426,42 @@ class TestGraphs:
             orbits.add(frozenset(pair))
         assert len(orbits) == len(searched)
         assert len(searched) == {Algebra.SL2_HAT: 89, Algebra.A2_TWISTED: 126}[kind]
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize(
+        "kind, depth", [(Algebra.SL2_HAT, 10), (Algebra.A2_TWISTED, 8)]
+    )
+    def test_growth_equals_the_operator_breadth_first_search(self, kind, depth, warm):
+        """Finding each target by the datum its raiser fixes grows the
+        graph that applying every operator and matching polytopes grows."""
+        clear_cache()
+        if warm:
+            want = operator_graph(kind, depth)
+        got = crystal_graph(kind, depth)
+        if not warm:
+            want = operator_graph(kind, depth)
+        for field in ("nodes", "node_depths", "node_weights", "edges"):
+            assert getattr(got, field) == getattr(want, field), field
+
+    @pytest.mark.parametrize(
+        "kind, depth", [(Algebra.SL2_HAT, 8), (Algebra.A2_TWISTED, 6)]
+    )
+    def test_a_cold_graph_completes_only_new_nodes(self, kind, depth, monkeypatch):
+        """An edge to a node already held completes nothing: each node
+        but the lowest is completed once, from the datum that found it."""
+        completed = []
+        partner = transition._partner
+
+        def counting(known, solver):
+            completed.append(known)
+            return partner(known, solver)
+
+        monkeypatch.setattr(transition, "_partner", counting)
+        clear_cache()
+        g = crystal_graph(kind, depth)
+        assert len(completed) == len(g.nodes) - 1
+        for d, b in zip(completed, g.nodes[1:]):
+            assert d in (b.left, b.right)
 
     def test_a_cold_graph_completes_every_node_by_search(self):
         """Nodes whose polytope came from a cached flip agree with a search."""

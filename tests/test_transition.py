@@ -693,9 +693,11 @@ def assert_matches_validated(d):
 
 
 def assert_bumps_match_with_mult(d):
+    """Every exponent `crystal._raise` passes: unit steps, a power, and
+    -held, which removes the entry."""
     for family in FAMILIES:
         held = d.mult(family, 1)
-        for by in (1, -1):
+        for by in (1, -1, 3, -held):
             if held + by < 0:
                 with pytest.raises(ValueError):
                     _bump(d, family, by)
@@ -746,6 +748,22 @@ class TestTrustedPath:
         d = datum(kind, {(LOW, 2): 1, (HIGH, 1): 1, (HIGH, 3): 2}, (2,))
         assert_bumps_match_with_mult(d)
         assert_bumps_match_with_mult(_bump(d, LOW, 1))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize(
+        "real, delta",
+        [
+            ({(HIGH, 1): 2, (HIGH, 4): 1}, ()),  # no low run
+            ({(HIGH, 2): 1, (HIGH, 3): 2}, (1,)),  # no low run, no high rung
+            ({(LOW, 1): 1, (LOW, 3): 2}, (1,)),  # no high run
+            ({(LOW, 2): 3, (LOW, 5): 1}, ()),  # no high run, no low rung
+            ({(LOW, 2): 1, (LOW, 5): 1, (HIGH, 2): 3}, (2, 1)),  # neither rung
+            ({(LOW, 1): 2, (HIGH, 3): 1, (HIGH, 6): 1}, ()),  # no high rung
+            ({}, (3, 1)),  # no real entries
+        ],
+    )
+    def test_bumps_splice_at_the_head_of_each_run(self, kind, real, delta):
+        assert_bumps_match_with_mult(datum(kind, real, delta))
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_enumerated_data(self, kind):

@@ -16,7 +16,7 @@ which they are constant, so the truncated scan equals the infinite one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .lusztig import LusztigDatum, Partition, RealEntry, largest_part, partitions
 from .lusztig import _ladder_runs, remove_part
@@ -367,13 +367,18 @@ def _left_partners(
     w: RootVector,
     rights: Sequence[LusztigDatum],
     walk: Iterable[tuple[tuple[RealEntry, ...], int]],
+    paths: Mapping[tuple[str, tuple[RealEntry, ...]], HalfPath],
 ) -> tuple[list[_Hit], int]:
     """Every MV pair of a datum of weight w, on the left, with one of `rights`.
 
     The left data are those of `enumerate_data(kind, w)`, walked in its
     order without building them: each real part of `walk`, which is
     `lusztig._real_parts(kind, w)` or a copy of it, with each partition
-    of what it leaves.  The rights have weight w.
+    of what it leaves.  The rights have weight w.  `paths` holds half-paths
+    of w by (family, half), at `weight_truncation_index(kind, w)`, as
+    `half_path` builds them; a half it lacks is built here and not kept:
+    holding every left half costs the one-right oracle more than
+    building it does.
     Returns the passing pairs as `_Hit`s, ascending in (i, j), and the
     number of left data judged, which is the number of data of w.
 
@@ -385,8 +390,7 @@ def _left_partners(
     the partitions.  So each is scanned once per distinct left half
     against each distinct right half, and many data share a half: at the
     top weight of the sl2hat box (6,6), 134 data have 30 distinct halves
-    of each kind.  A half is keyed by its entries, and its `HalfPath` is
-    built once for the rights and the left data alike.  Condition 2 is
+    of each kind.  A half is keyed by its entries.  Condition 2 is
     scanned only for a real part whose high half passes condition 1 with
     some right datum.  A pair failing either scan fails the full check
     there; every other pair passes conditions 1 and 2, so its verdict is
@@ -394,12 +398,9 @@ def _left_partners(
     `vertical_edge`s), run per partition.
     """
     K = weight_truncation_index(kind, w)
-    paths: dict = {}  # (family, half) -> its HalfPath, for the rights' halves
 
     def path(family, half):
-        if (family, half) not in paths:
-            paths[family, half] = half_path(kind, half, family, K)
-        return paths[family, half]
+        return paths.get((family, half)) or half_path(kind, half, family, K)
 
     right_lows: dict[HalfPath, list[int]] = {}
     right_highs: dict[HalfPath, list[int]] = {}
@@ -414,11 +415,8 @@ def _left_partners(
     def scan(memo, half, family, paired):
         """Memoize one left half's end and the rights whose `paired` half it
         pairs with; the pair is never false, so `memo.get(half) or` skips it.
-
-        A half no right has is built here and not kept: holding every path
-        costs the one-right oracle more than building it does.
         """
-        U = paths.get((family, half)) or half_path(kind, half, family, K)
+        U = path(family, half)
         memo[half] = hit = U.end, {
             j for V, js in paired.items() if pairing_defect(U, V) is None for j in js
         }

@@ -26,12 +26,22 @@ if the search ever contradicts that.
 The search is two walks and a join.  The walk of the unknown high
 ladder reads only the known low half, and the walk of the low ladder
 only the known high half, so data of one weight that share a half share
-its walk.  `_dfs_sweep` is the one search: it runs each walk, and builds
-each known half-path, once per distinct half among the data of one
-weight, and the join, with its full MV check of every candidate, once
-per datum.  `_solve` sweeps its one datum; the uniqueness sweep of
-`verify` sweeps every datum of a weight and settles each answer as
-`_solve` does.
+its walk.  `_dfs_sweep` is the one search: it takes each walk and each
+half-path, of the known data and of the candidates alike, from the
+record of the weight, which builds it on first use, and runs the join,
+with its full MV check of every candidate, once per datum.  `_solve`
+sweeps its one datum; the uniqueness sweep of `verify` sweeps every
+datum of a weight and settles each answer as `_solve` does.
+
+The record (`_RECORD`) is kept per (kind, weight), across solves: the
+truncation index K, the half-paths at K by (family, half), the high
+walk's table by known low half and the low walk's leaves by known high
+half.  So the many solves of one weight that graph growth and the
+`verify` suites make walk each distinct half once, and the oracle's scan
+reads the half-paths from it too.  It holds at most `_RECORD_SIZE`
+half-path indices and walk leaves over all its weights, the oldest
+weight dropped first; a weight past that bound alone is not kept after
+its search.
 
 Completing from the left and completing from the right are one map T,
 an involution: the MV relation is symmetric under exchanging the two
@@ -54,6 +64,7 @@ more lookup, of its flip (`lusztig.twist_tau`, sort-free), and a hit is
 flipped back.  Nothing extra is stored, so each search still adds two
 entries; a2(2) has no flip and takes no probe.  `_solve` and the sweep
 search even when the answer is cached, for checks of the search itself.
+`clear_cache` empties the answers and the record together.
 """
 
 from __future__ import annotations
@@ -82,7 +93,6 @@ from .polytope import (
     half_path,
     mv_violations,
     part_size_ratio,
-    path_prefixes,
     vertical_edge,
     weight_truncation_index,
 )
@@ -131,8 +141,80 @@ _CACHE: dict[tuple[str, LusztigDatum], LusztigDatum] = {}
 _CACHE_SIZE = 1 << 14
 
 
+class _Weight:
+    """What the searches of one weight share, built as they need it.
+
+    K is the weight's truncation index, `paths` the half-paths at K by
+    (family, half), `tables` the high walk's `_HighTable` by the known
+    low half it pairs with, and `lows` the low walk's leaves by the
+    known high half.  `size` counts half-path indices and walk leaves.
+    """
+
+    __slots__ = ("kind", "w", "K", "paths", "tables", "lows", "size")
+
+    def __init__(self, kind: Algebra, w: RootVector) -> None:
+        self.kind = kind
+        self.w = w
+        self.K = weight_truncation_index(kind, w)
+        self.paths: dict[tuple[str, tuple[RealEntry, ...]], HalfPath] = {}
+        self.tables: dict[tuple[RealEntry, ...], _HighTable] = {}
+        self.lows: dict[tuple[RealEntry, ...], list[_Leaf]] = {}
+        self.size = 0
+
+
+_RECORD: dict[tuple[Algebra, RootVector], _Weight] = {}
+# Most half-path indices plus walk leaves `_RECORD` holds over all its
+# weights; past it the oldest weight is dropped.
+_RECORD_SIZE = 1 << 19
+_held = 0  # the total size of the weights in `_RECORD`
+
+
 def clear_cache() -> None:
+    global _held
     _CACHE.clear()
+    _RECORD.clear()
+    _held = 0
+
+
+def _record(kind: Algebra, w: RootVector) -> _Weight:
+    """The record of the weight w, new and empty if it holds none."""
+    rec = _RECORD.get((kind, w))
+    if rec is None:
+        rec = _RECORD[kind, w] = _Weight(kind, w)
+    return rec
+
+
+def _hold(rec: _Weight, added: int) -> None:
+    """Count `added` more into `rec` and drop the oldest weights while the
+    record is past its bound.  That drops `rec` too if it alone is past
+    it; the searches running on it keep it until they end."""
+    global _held
+    rec.size += added
+    if _RECORD.get((rec.kind, rec.w)) is not rec:
+        return
+    _held += added
+    while _held > _RECORD_SIZE:
+        _held -= _RECORD.pop(next(iter(_RECORD))).size
+
+
+def _path(rec: _Weight, family: str, half: tuple[RealEntry, ...]) -> HalfPath:
+    """The `family` half-path of the run `half` at the weight's K, from `rec`."""
+    path = rec.paths.get((family, half))
+    if path is None:
+        path = rec.paths[family, half] = half_path(rec.kind, half, family, rec.K)
+        _hold(rec, rec.K + 1)
+    return path
+
+
+def _half_paths(data: Sequence[LusztigDatum]) -> dict:
+    """The record's half-paths of the one weight of `data`, both halves of
+    each datum among them."""
+    rec = _record(data[0].kind, data[0].weight)
+    for d in data:
+        low, high = _ladder_runs(d.real)
+        _path(rec, LOW, low)
+        _path(rec, HIGH, high)
+    return rec.paths
 
 
 def complete_from_left(left: LusztigDatum, solver: str = DFS) -> DecoratedPolytope:
@@ -207,11 +289,13 @@ def _oracle_completions(known: LusztigDatum) -> list[LusztigDatum]:
     The candidates, placed on the left, are the data of `enumerate_data`
     in its order, judged against `known` by `polytope._left_partners`
     without being built; only a candidate that passes is built as a
-    datum.
+    datum.  The scan reads the known datum's half-paths from the
+    weight's record.
     """
     kind = known.kind
     w = known.weight
-    hits, _ = _left_partners(kind, w, [known], _real_parts(kind, w))
+    paths = _half_paths([known])
+    hits, _ = _left_partners(kind, w, [known], _real_parts(kind, w), paths)
     return [_derived(kind, real, parts, w) for _, _, real, parts in hits]
 
 
@@ -447,8 +531,9 @@ def _assemble(
     high_picks: _Picks,
     parts: Partition,
     w: RootVector,
-) -> LusztigDatum:
-    """The candidate datum of one join in `_join`, of weight w.
+) -> tuple[LusztigDatum, tuple[RealEntry, ...], tuple[RealEntry, ...]]:
+    """The candidate datum of one join in `_join`, of weight w, and its
+    low and high runs.
 
     Each ladder is its index-1 multiplicity and its picks at k >= 2.
     Its weight is w by construction: the low ladder uses u, the high
@@ -457,12 +542,12 @@ def _assemble(
     nonzero and ascending in k, and the parts a partition, so the datum
     is built with `_derived`.
     """
-    real = [RealEntry(LOW, 1, low_m1)] if low_m1 else []
-    real += [RealEntry(LOW, k, m) for k, m in low_picks]
-    if high_m1:
-        real.append(RealEntry(HIGH, 1, high_m1))
-    real += [RealEntry(HIGH, k, m) for k, m in high_picks]
-    return _derived(kind, tuple(real), parts, w)
+    low = [RealEntry(LOW, 1, low_m1)] if low_m1 else []
+    low += [RealEntry(LOW, k, m) for k, m in low_picks]
+    high = [RealEntry(HIGH, 1, high_m1)] if high_m1 else []
+    high += [RealEntry(HIGH, k, m) for k, m in high_picks]
+    low_run, high_run = tuple(low), tuple(high)
+    return _derived(kind, low_run + high_run, parts, w), low_run, high_run
 
 
 def _dfs_sweep(data: Sequence[LusztigDatum]) -> Iterator[list[LusztigDatum]]:
@@ -486,34 +571,32 @@ def _dfs_sweep(data: Sequence[LusztigDatum]) -> Iterator[list[LusztigDatum]]:
     The low ladder never reads the high choices, so each ladder is
     searched once, both bounded by the weight: the high walk reads only
     the known low half and the low walk only the known high half, and
-    `_join` pairs their leaves.  So each walk runs, and each known
-    half-path is built, once per distinct half among the data, and only
-    the join runs per datum.  The low leaves of each high half are kept
-    for the data that share it.  A datum of another weight raises
-    `ValueError`.
+    `_join` pairs their leaves.  The walks and the known half-paths come
+    from the weight's record (`_Weight`), so each walk runs, and each
+    half-path is built, once per distinct half the weight's searches
+    meet while the record holds it, and only the join runs per datum.
+    A datum of another weight raises `ValueError`.
     """
     if not data:
         return
     kind, w = data[0].kind, data[0].weight
-    K = weight_truncation_index(kind, w)
-    tables: dict[tuple[RealEntry, ...], tuple[HalfPath, _HighTable]] = {}
-    lows: dict[tuple[RealEntry, ...], tuple[HalfPath, list[_Leaf]]] = {}
+    rec = _record(kind, w)
     for known in data:
         if known.kind is not kind or known.weight != w:
             raise ValueError(f"{known} is not of the weight {w} of the sweep")
         low_half, high_half = _ladder_runs(known.real)
-        table = tables.get(low_half)
-        if table is None:
-            low_path = half_path(kind, low_half, LOW, K)
-            high = _high_table(kind, _ladder_leaves(kind, HIGH, low_path, w))
-            table = tables[low_half] = low_path, high
-        leaves = lows.get(high_half)
-        if leaves is None:
-            high_path = half_path(kind, high_half, HIGH, K)
-            low = list(_ladder_leaves(kind, LOW, high_path, w))
-            leaves = lows[high_half] = high_path, low
-        (low_path, high), (high_path, low) = table, leaves
-        yield _join(known, PathPrefixes(low_path, high_path), high, low, K)
+        kp = PathPrefixes(_path(rec, LOW, low_half), _path(rec, HIGH, high_half))
+        high = rec.tables.get(low_half)
+        if high is None:
+            high = rec.tables[low_half] = _high_table(
+                kind, _ladder_leaves(kind, HIGH, kp.low, w)
+            )
+            _hold(rec, sum(map(len, high[0].values())) + len(high[1]))
+        low = rec.lows.get(high_half)
+        if low is None:
+            low = rec.lows[high_half] = list(_ladder_leaves(kind, LOW, kp.high, w))
+            _hold(rec, len(low))
+        yield _join(known, kp, high, low, rec)
 
 
 def _high_table(kind: Algebra, high: Iterable[_Leaf]) -> _HighTable:
@@ -540,12 +623,13 @@ def _join(
     kp: PathPrefixes,
     high: _HighTable,
     low: Iterable[_Leaf],
-    K: int,
+    rec: _Weight,
 ) -> list[LusztigDatum]:
     """Every partner of `known` among the joins of the high and low leaves.
 
-    kp is the known datum's half-paths at K, and `high` and `low` are
-    the leaves of the walks against them.  A high leaf leaves
+    kp is the known datum's half-paths at the weight's K, `high` and
+    `low` are the leaves of the walks against them, and `rec` is the
+    weight's record.  A high leaf leaves
     r = (ra - m1, rb), and a low leaf uses u = (ua, ub + m1); they join
     when r - u is n*delta with n >= 0.  Since delta = (1, ratio), with
     ratio = `roots.length_ratio`, that is lean(r) == lean(u), where a
@@ -559,7 +643,9 @@ def _join(
     leftover admits at most one candidate partition.
 
     Every assembled pair still runs the full MV check, so solving and
-    skipping only ever affect speed, not the answer.
+    skipping only ever affect speed, not the answer.  The check reads the
+    candidate's two half-paths from `rec` by the runs `_assemble` built:
+    a partner candidate is often a known datum of the same weight.
     """
     kind = known.kind
     w = known.weight
@@ -585,10 +671,12 @@ def _join(
             d1 = vertical_edge((w.a - ha + first, w.b - hb), low_end)
             n = ha - first - ua  # r - u == n*delta, and delta has a == 1
             for m1, parts in _edge_candidates(kind, known.delta, first, last, n, d1):
-                cand = _assemble(
+                cand, cand_low, cand_high = _assemble(
                     kind, base + ratio * m1, low_picks, m1, high_picks, parts, w
                 )
-                cp = path_prefixes(cand, K)
+                cp = PathPrefixes(
+                    _path(rec, LOW, cand_low), _path(rec, HIGH, cand_high)
+                )
                 if not mv_violations(kind, cp, kp, parts, known.delta, True):
                     sols.append(cand)
     return sols

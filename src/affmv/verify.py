@@ -30,7 +30,7 @@ from .roots import (
     RootVector,
     simple_reflection,
 )
-from .transition import DFS, SolverInvariantError, _dfs_sweep, _settle
+from .transition import DFS, SolverInvariantError, _dfs_sweep, _half_paths, _settle
 
 __all__ = [
     "Report",
@@ -132,7 +132,8 @@ def check_uniqueness(kind: Algebra, box: RootVector) -> Report:
     than read from the cache, is compared with the right and the left
     partner.  The search's two ladder walks are shared per distinct half
     among the weight's data and its join runs per datum
-    (`transition._dfs_sweep`).
+    (`transition._dfs_sweep`); the walks and the half-paths, which the
+    scan reads too, come from the weight's record in `transition`.
     """
     t = _Tally()
     for w in _box_weights(box):
@@ -145,7 +146,8 @@ def check_uniqueness(kind: Algebra, box: RootVector) -> Report:
         t.hit("weights checked")
         t.hit("data checked", n)
         t.hit("pair checks", n * n)
-        pairs = [(i, j) for i, j, _, _ in _left_partners(kind, w, data, walk)[0]]
+        hits, _ = _left_partners(kind, w, data, walk, _half_paths(data))
+        pairs = [(i, j) for i, j, _, _ in hits]
         # partners[side][i]: the passing partners of datum i on that side.
         partners = {"right": [[] for _ in data], "left": [[] for _ in data]}
         for i, j in pairs:

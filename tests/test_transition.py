@@ -13,8 +13,10 @@ to their closed forms, and the trapezoid of delta=[20000] back to it;
 the interval join of delta=[10^5] tries only the few values that can
 pass.  The completion cache stays within its bound and stores each
 solve both ways, and on sl2hat a miss is read from the cached flip with
-nothing stored; tests of the search clear it or call `_solve`, so that
-T of a partner or of a flip is searched, not read back.
+nothing stored; the record of walks and half-paths stays within its
+size bound and holds fresh half-paths.  Tests of the search clear both
+or call `_solve`, so that T of a partner or of a flip is searched, not
+read back.
 """
 
 import hashlib
@@ -41,6 +43,7 @@ from affmv.lusztig import (
 from affmv.polytope import (
     DecoratedPolytope,
     _left_partners,
+    half_path,
     is_mv,
     path_prefixes,
     weight_truncation_index,
@@ -206,13 +209,18 @@ class TestSharedWalks:
         for a in range(box.a + 1):
             for b in range(box.b + 1):
                 data = enumerate_data(kind, RootVector(a, b))
-                clear_cache()
-                solved = {d: [_solve(d, DFS)] for d in data}
+                # Each search starts from an empty record, so that no walk
+                # of the sweep is compared against itself.
+                solved = {}
+                for d in data:
+                    clear_cache()
+                    solved[d] = [_solve(d, DFS)]
                 # In canonical order, shuffled, and shuffled with repeats.
                 shuffled = rng.sample(data, len(data))
                 repeated = shuffled + rng.choices(data, k=len(data) // 2 + 1)
                 rng.shuffle(repeated)
                 for batch in (data, shuffled, repeated):
+                    clear_cache()
                     assert list(_dfs_sweep(batch)) == [solved[d] for d in batch]
 
     def test_a_sweep_takes_one_weight(self):
@@ -229,7 +237,7 @@ class TestOracle:
     def test_every_datum_of_a_tiny_weight_is_judged(self, kind):
         for d in tiny_data(kind):
             w = d.weight
-            _, judged = _left_partners(kind, w, [d], _real_parts(kind, w))
+            _, judged = _left_partners(kind, w, [d], _real_parts(kind, w), {})
             assert judged == count_data(kind, w)
             assert _oracle_completions(d) == [transition_l_to_r(d, solver=DFS)]
 
@@ -237,7 +245,9 @@ class TestOracle:
         self, reference_left, reference_right
     ):
         sl2, w = Algebra.SL2_HAT, REFERENCE_WEIGHT
-        hits, judged = _left_partners(sl2, w, [reference_right], _real_parts(sl2, w))
+        hits, judged = _left_partners(
+            sl2, w, [reference_right], _real_parts(sl2, w), {}
+        )
         assert judged == count_data(sl2, w) == 263175
         (hit,) = hits
         assert hit[2:] == (reference_left.real, reference_left.delta)
@@ -388,6 +398,64 @@ class TestPlumbing:
             # Each solve stores both directions, T being an involution.
             both = [x for d, partner in zip(data, partners) for x in (d, partner)]
             assert [known for _, known in _CACHE] == both[-5:]
+
+    def test_the_walk_record_is_bounded_by_size_and_holds_fresh_paths(
+        self, monkeypatch
+    ):
+        """The record of each weight's walks and half-paths empties with the
+        cache, holds at most `_RECORD_SIZE` half-path indices and walk
+        leaves, the oldest weight dropped first, keeps no weight larger
+        than that alone, and holds the half-paths a fresh build gives."""
+        record = transition._RECORD
+
+        def held():
+            return sum(rec.size for rec in record.values())
+
+        sl2 = Algebra.SL2_HAT
+        clear_cache()
+        transition_l_to_r(datum(sl2, {(LOW, 3): 1}))
+        assert record and transition._held == held() > 0
+        clear_cache()
+        assert not record and not _CACHE and transition._held == 0
+
+        # Six data of six weights, then a bound that holds the last three.
+        data = [datum(sl2, {(LOW, 1): m, (HIGH, 2): 1}) for m in range(6)]
+        keys = [(sl2, d.weight) for d in data]
+        partners = [_solve(d, DFS) for d in data]
+        assert list(record) == keys
+        sizes = [record[key].size for key in keys]
+        monkeypatch.setattr(transition, "_RECORD_SIZE", sum(sizes[-3:]))
+        clear_cache()
+        for n, d in enumerate(data, 1):
+            _solve(d, DFS)
+            assert transition._held == held() <= transition._RECORD_SIZE
+            assert list(record) == keys[n - len(record) : n]
+        assert list(record) == keys[-3:]
+        # A weight past the bound alone is searched and not kept.
+        monkeypatch.setattr(transition, "_RECORD_SIZE", min(sizes) - 1)
+        clear_cache()
+        assert _solve(data[0], DFS) == partners[0]
+        assert not record and transition._held == 0
+        monkeypatch.undo()
+
+        for kind in KINDS:
+            rng = random.Random(26)
+            clear_cache()
+            for _ in range(40):
+                complete_from_left(seeded_datum(rng, kind))
+            for w in (RootVector(3, 3), RootVector(2, 4)):
+                data = enumerate_data(kind, w)
+                list(_dfs_sweep(data))
+                _oracle_completions(data[0])
+            assert transition._held == held()
+            for (rec_kind, w), rec in record.items():
+                assert rec_kind is kind and rec.K == weight_truncation_index(kind, w)
+                for (family, half), path in rec.paths.items():
+                    assert path == half_path(kind, half, family, rec.K)
+                leaves = sum(map(len, rec.lows.values()))
+                for by_lean, spans in rec.tables.values():
+                    leaves += sum(map(len, by_lean.values())) + len(spans)
+                assert rec.size == leaves + (rec.K + 1) * len(rec.paths)
 
     @pytest.mark.parametrize("solver", [DFS, ORACLE])
     def test_a_miss_reads_the_flip_of_a_cached_answer(self, monkeypatch, solver):

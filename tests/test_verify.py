@@ -137,7 +137,7 @@ class TestPairing:
                 ]
                 for i, dl in enumerate(data)
             ]
-            hits, judged = _left_partners(kind, w, data, _real_parts(kind, w))
+            hits, judged = _left_partners(kind, w, data, _real_parts(kind, w), {})
             assert judged == len(data), w
             rows = [[] for _ in data]
             for i, j, real, parts in hits:

@@ -247,11 +247,6 @@ class LusztigDatum(_DatumFields):
         kept.sort(key=_canonical)
         return LusztigDatum(self.kind, tuple(kept), self.delta)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.real and not self.delta
-
-
 
 def _derived(
     kind: Algebra, real: tuple[RealEntry, ...], delta: Partition, weight: RootVector

@@ -33,16 +33,6 @@ with its full MV check of every candidate, once per datum.  `_solve`
 sweeps its one datum; the uniqueness sweep of `verify` sweeps every
 datum of a weight and settles each answer as `_solve` does.
 
-The record (`_RECORD`) is kept per (kind, weight), across solves: the
-truncation index K, the half-paths at K by (family, half), the high
-walk's table by known low half and the low walk's leaves by known high
-half.  So the many solves of one weight that graph growth and the
-`verify` suites make walk each distinct half once, and the oracle's scan
-reads the half-paths from it too.  It holds at most `_RECORD_SIZE`
-half-path indices and walk leaves over all its weights, the oldest
-weight dropped first; a weight past that bound alone is not kept after
-its search.
-
 Completing from the left and completing from the right are one map T,
 an involution: the MV relation is symmetric under exchanging the two
 data.  Exchanging them exchanges conditions 1 and 2, and the vertical
@@ -53,18 +43,25 @@ delta; the rest of them is symmetric in the partitions.  So the partner
 of a left datum is the partner of the same datum placed on the right,
 and one search (the unknown datum on the left) serves both sides.
 
-Results are memoized per (solver, datum), up to `_CACHE_SIZE` entries,
-the oldest dropped first; entries are immutable, so the cache behaves as
-a pure function table.  Since T is an involution, a solve stores its
-answer both ways, under the datum and under its partner: the crystal
+One store (`_RECORD`) holds all the solver keeps, one `_Weight` per
+(kind, weight), across solves: the truncation index K, the half-paths at
+K by (family, half), the high walk's table by known low half, the low
+walk's leaves by known high half, and the answers by (solver, datum).
+So the many solves of one weight that graph growth and the `verify`
+suites make walk each distinct half once and search each datum once.
+Since T is an involution, a solve holds its answer both ways, under the
+datum and under its partner, which share the weight: the crystal
 operators e_i and e_i* reach one polytope from its two sides and solve
 it once.  On sl2hat the diagram flip tau maps MV pairs to MV pairs, so
-T(tau d) = tau T(d): a datum missing from a non-empty cache costs one
-more lookup, of its flip (`lusztig.twist_tau`, sort-free), and a hit is
-flipped back.  Nothing extra is stored, so each search still adds two
-entries; a2(2) has no flip and takes no probe.  `_solve` and the sweep
-search even when the answer is cached, for checks of the search itself.
-`clear_cache` empties the answers and the record together.
+T(tau d) = tau T(d): a datum with no answer held costs one more lookup,
+of its flip (`lusztig.twist_tau`, sort-free), when the record of the
+swapped weight exists, and a hit is flipped back; a2(2) has no flip.
+The store is bounded by `_RECORD_SIZE` over all its weights, the oldest
+weight dropped first with its answers; a weight past that bound alone
+keeps nothing after its search.  Entries are immutable, so the answers
+behave as a pure function table.  `_solve` and the sweep search even
+when the answer is held, for checks of the search itself.  `clear_cache`
+empties the store.
 """
 
 from __future__ import annotations
@@ -136,21 +133,17 @@ class MultipleCompletionsError(SolverInvariantError):
     """More than one completion was found where one was promised."""
 
 
-_CACHE: dict[tuple[str, LusztigDatum], LusztigDatum] = {}
-# Most entries `_CACHE` holds; past it the oldest entry is dropped.
-_CACHE_SIZE = 1 << 14
-
-
 class _Weight:
-    """What the searches of one weight share, built as they need it.
+    """All the solver keeps of one weight, built as its searches need it.
 
     K is the weight's truncation index, `paths` the half-paths at K by
     (family, half), `tables` the high walk's `_HighTable` by the known
-    low half it pairs with, and `lows` the low walk's leaves by the
-    known high half.  `size` counts half-path indices and walk leaves.
+    low half it pairs with, `lows` the low walk's leaves by the known
+    high half, and `answers` the partner of each datum settled by
+    (solver, datum).  `size` counts them in units (`_RECORD_SIZE`).
     """
 
-    __slots__ = ("kind", "w", "K", "paths", "tables", "lows", "size")
+    __slots__ = ("kind", "w", "K", "paths", "tables", "lows", "answers", "size")
 
     def __init__(self, kind: Algebra, w: RootVector) -> None:
         self.kind = kind
@@ -159,19 +152,23 @@ class _Weight:
         self.paths: dict[tuple[str, tuple[RealEntry, ...]], HalfPath] = {}
         self.tables: dict[tuple[RealEntry, ...], _HighTable] = {}
         self.lows: dict[tuple[RealEntry, ...], list[_Leaf]] = {}
+        self.answers: dict[tuple[str, LusztigDatum], LusztigDatum] = {}
         self.size = 0
 
 
 _RECORD: dict[tuple[Algebra, RootVector], _Weight] = {}
-# Most half-path indices plus walk leaves `_RECORD` holds over all its
-# weights; past it the oldest weight is dropped.
+# Most units `_RECORD` holds over all its weights; past it the oldest
+# weight is dropped.  A half-path index is one unit, a walk leaf one, and
+# an answer, one datum held with its partner, eight.  Under tracemalloc an
+# index takes 16 bytes at K near 10^5 and about 55 at the K of a graph to
+# depth 16, where a leaf with its picks takes about 300 and an answer
+# about 360 (its key, and its value's entries when nothing else holds it).
 _RECORD_SIZE = 1 << 19
 _held = 0  # the total size of the weights in `_RECORD`
 
 
 def clear_cache() -> None:
     global _held
-    _CACHE.clear()
     _RECORD.clear()
     _held = 0
 
@@ -206,17 +203,6 @@ def _path(rec: _Weight, family: str, half: tuple[RealEntry, ...]) -> HalfPath:
     return path
 
 
-def _half_paths(data: Sequence[LusztigDatum]) -> dict:
-    """The record's half-paths of the one weight of `data`, both halves of
-    each datum among them."""
-    rec = _record(data[0].kind, data[0].weight)
-    for d in data:
-        low, high = _ladder_runs(d.real)
-        _path(rec, LOW, low)
-        _path(rec, HIGH, high)
-    return rec.paths
-
-
 def complete_from_left(left: LusztigDatum, solver: str = DFS) -> DecoratedPolytope:
     """The unique decorated polytope whose left datum is `left`.
 
@@ -237,36 +223,43 @@ def transition_l_to_r(d: LusztigDatum, solver: str = DFS) -> LusztigDatum:
 
 
 def _partner(known: LusztigDatum, solver: str) -> LusztigDatum:
-    """The one completion of `known` by `solver`, from `_CACHE` if there.
+    """The one completion of `known` by `solver`, from its weight's record
+    if held there.
 
-    On sl2hat a miss probes the flip of `known` once: T(tau d) = tau T(d),
-    unless the cache is empty and no probe can hit.
+    On sl2hat a miss probes the flip of `known` once, T(tau d) = tau T(d),
+    when the record of the swapped weight exists.
     """
-    hit = _CACHE.get((solver, known))
-    if hit is not None:
+    kind, _, _, w = known
+    rec = _RECORD.get((kind, w))
+    hit = rec and rec.answers.get((solver, known))
+    if hit:
         return hit
-    if known.kind is _SL2_HAT and _CACHE:
-        hit = _CACHE.get((solver, twist_tau(known)))
-        if hit is not None:
+    if kind is _SL2_HAT:
+        rec = _RECORD.get((kind, (w.b, w.a)))  # a tuple keys as its RootVector
+        hit = rec and rec.answers.get((solver, twist_tau(known)))
+        if hit:
             return twist_tau(hit)
     return _solve(known, solver)
 
 
 def _solve(known: LusztigDatum, solver: str) -> LusztigDatum:
-    """Search `known`'s one completion by `solver`, cached or not, and cache it."""
-    if solver == ORACLE:
+    """Search `known`'s one completion by `solver`, held or not, and hold it
+    in the record of its weight."""
+    rec = _record(known.kind, known.weight)
+    if solver == DFS:
+        (found,) = _dfs_sweep(rec, (known,))
+    elif solver == ORACLE:
         found = _oracle_completions(known)
-    elif solver == DFS:
-        (found,) = _dfs_sweep((known,))
     else:
         raise ValueError(f"unknown solver {solver!r}")
-    return _settle(known, solver, found)
+    return _settle(rec, known, solver, found)
 
 
 def _settle(
-    known: LusztigDatum, solver: str, found: list[LusztigDatum]
+    rec: _Weight, known: LusztigDatum, solver: str, found: list[LusztigDatum]
 ) -> LusztigDatum:
-    """The one completion `found` for `known` by `solver`, cached both ways.
+    """The one completion `found` for `known` by `solver`, held both ways in
+    `rec`, the record of their weight.
 
     Raises unless the search found exactly one.
     """
@@ -275,11 +268,12 @@ def _settle(
     if len(found) > 1:
         raise MultipleCompletionsError(f"{len(found)} completions of the datum {known}")
     partner = found[0]
-    # T is an involution: store the answer under both data.
-    for key, value in (((solver, known), partner), ((solver, partner), known)):
-        if key not in _CACHE and len(_CACHE) >= _CACHE_SIZE:
-            del _CACHE[next(iter(_CACHE))]
-        _CACHE[key] = value
+    # T is an involution: hold the answer under both data, eight units each
+    # (`_RECORD_SIZE`).
+    held = len(rec.answers)
+    rec.answers[solver, known] = partner
+    rec.answers[solver, partner] = known
+    _hold(rec, 8 * (len(rec.answers) - held))
     return partner
 
 
@@ -289,13 +283,12 @@ def _oracle_completions(known: LusztigDatum) -> list[LusztigDatum]:
     The candidates, placed on the left, are the data of `enumerate_data`
     in its order, judged against `known` by `polytope._left_partners`
     without being built; only a candidate that passes is built as a
-    datum.  The scan reads the known datum's half-paths from the
-    weight's record.
+    datum.  The scan builds the half-paths it needs and keeps none, so
+    the reference reads nothing of what the DFS search keeps.
     """
     kind = known.kind
     w = known.weight
-    paths = _half_paths([known])
-    hits, _ = _left_partners(kind, w, [known], _real_parts(kind, w), paths)
+    hits, _ = _left_partners(kind, w, [known], _real_parts(kind, w), {})
     return [_derived(kind, real, parts, w) for _, _, real, parts in hits]
 
 
@@ -550,8 +543,10 @@ def _assemble(
     return _derived(kind, low_run + high_run, parts, w), low_run, high_run
 
 
-def _dfs_sweep(data: Sequence[LusztigDatum]) -> Iterator[list[LusztigDatum]]:
-    """Solved search for every partner of each datum of one weight, in order.
+def _dfs_sweep(
+    rec: _Weight, data: Sequence[LusztigDatum]
+) -> Iterator[list[LusztigDatum]]:
+    """Solved search for every partner of each datum of `rec`'s weight, in order.
 
     Yields one list of partners per datum; `_solve` sweeps its one datum.
     The unknown datum sits on the left.  Condition 1 pairs its high
@@ -572,15 +567,12 @@ def _dfs_sweep(data: Sequence[LusztigDatum]) -> Iterator[list[LusztigDatum]]:
     searched once, both bounded by the weight: the high walk reads only
     the known low half and the low walk only the known high half, and
     `_join` pairs their leaves.  The walks and the known half-paths come
-    from the weight's record (`_Weight`), so each walk runs, and each
+    from `rec`, the weight's record (`_Weight`), so each walk runs, and each
     half-path is built, once per distinct half the weight's searches
     meet while the record holds it, and only the join runs per datum.
     A datum of another weight raises `ValueError`.
     """
-    if not data:
-        return
-    kind, w = data[0].kind, data[0].weight
-    rec = _record(kind, w)
+    kind, w = rec.kind, rec.w
     for known in data:
         if known.kind is not kind or known.weight != w:
             raise ValueError(f"{known} is not of the weight {w} of the sweep")

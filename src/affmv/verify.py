@@ -30,7 +30,7 @@ from .roots import (
     RootVector,
     simple_reflection,
 )
-from .transition import DFS, SolverInvariantError, _dfs_sweep, _half_paths, _settle
+from .transition import DFS, SolverInvariantError, _dfs_sweep, _record, _settle
 
 __all__ = [
     "Report",
@@ -129,11 +129,12 @@ def check_uniqueness(kind: Algebra, box: RootVector) -> Report:
     either side, the verdicts must be symmetric under the side swap, and
     the pruned search must return exactly the baseline partner both
     ways: its one answer T(d), searched anew for every datum rather
-    than read from the cache, is compared with the right and the left
+    than read from the record, is compared with the right and the left
     partner.  The search's two ladder walks are shared per distinct half
     among the weight's data and its join runs per datum
-    (`transition._dfs_sweep`); the walks and the half-paths, which the
-    scan reads too, come from the weight's record in `transition`.
+    (`transition._dfs_sweep`); the walks and the half-paths come from the
+    weight's record in `transition`, and the scan, which runs after the
+    search, reads the half-paths it built there.
     """
     t = _Tally()
     for w in _box_weights(box):
@@ -146,7 +147,10 @@ def check_uniqueness(kind: Algebra, box: RootVector) -> Report:
         t.hit("weights checked")
         t.hit("data checked", n)
         t.hit("pair checks", n * n)
-        hits, _ = _left_partners(kind, w, data, walk, _half_paths(data))
+        # The sweep builds both half-paths of every datum for the scan.
+        rec = _record(kind, w)
+        found = list(_dfs_sweep(rec, data))
+        hits, _ = _left_partners(kind, w, data, walk, rec.paths)
         pairs = [(i, j) for i, j, _, _ in hits]
         # partners[side][i]: the passing partners of datum i on that side.
         partners = {"right": [[] for _ in data], "left": [[] for _ in data]}
@@ -167,11 +171,11 @@ def check_uniqueness(kind: Algebra, box: RootVector) -> Report:
             t.fail(f"weight {w}: pair ({i},{j}) verdict differs after side swap")
         t.hit("swap symmetry failures", 0)
         t.hit("completion count failures", 0)
-        for i, (d, found) in enumerate(zip(data, _dfs_sweep(data))):
+        for i, (d, sols) in enumerate(zip(data, found)):
             t.hit("dfs completions", 2)
             try:
-                # searched: the solve of its partner may have cached T(d)
-                got = _settle(d, DFS, found)
+                # searched: the solve of its partner may have held T(d)
+                got = _settle(rec, d, DFS, sols)
             except SolverInvariantError as err:
                 t.hit("dfs mismatches")
                 t.fail(f"weight {w}: pruned solver failed on {d}: {err}")

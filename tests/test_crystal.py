@@ -66,7 +66,7 @@ class TestFirstSteps:
     @pytest.mark.parametrize("kind", KINDS)
     def test_lowest_is_the_zero_polytope(self, kind):
         b = lowest(kind)
-        assert b.left.is_zero and b.right.is_zero
+        assert b.left == b.right == datum(kind)
         assert not b.weight
 
     @pytest.mark.parametrize("kind", KINDS)

@@ -38,11 +38,11 @@ class TestDatumDocuments:
     def test_zero_datum_document(self):
         obj = datum_to_obj(datum(Algebra.SL2_HAT))
         assert obj == {"algebra": "sl2hat", "real": [], "delta": []}
-        assert parse_datum(obj).is_zero
+        assert parse_datum(obj) == datum(Algebra.SL2_HAT)
 
     def test_optional_fields_may_be_omitted(self):
         d = parse_datum({"algebra": "a2(2)"})
-        assert d.kind is Algebra.A2_TWISTED and d.is_zero
+        assert d == datum(Algebra.A2_TWISTED)
 
     @pytest.mark.parametrize(
         "broken",

@@ -11,12 +11,12 @@ multiplicity, DFS partners of seeded data up to height 300 are pinned
 by a digest, and single roots far up a ladder and delta=[20000] complete
 to their closed forms, and the trapezoid of delta=[20000] back to it;
 the interval join of delta=[10^5] tries only the few values that can
-pass.  The completion cache stays within its bound and stores each
-solve both ways, and on sl2hat a miss is read from the cached flip with
-nothing stored; the record of walks and half-paths stays within its
-size bound and holds fresh half-paths.  Tests of the search clear both
-or call `_solve`, so that T of a partner or of a flip is searched, not
-read back.
+pass.  The one store of walks, half-paths and answers stays within its
+size bound, holds each solve both ways in the record of its weight and
+drops the answers with the weight, holds fresh half-paths, and on sl2hat
+a miss is read from the held flip with nothing stored.  Tests of the
+search clear it or call `_solve`, so that T of a partner or of a flip is
+searched, not read back.
 """
 
 import hashlib
@@ -62,11 +62,11 @@ from affmv import transition
 from affmv.transition import (
     DFS,
     ORACLE,
-    _CACHE,
     _dfs_sweep,
     _edge_candidates,
     _ladder_leaves,
     _oracle_completions,
+    _record,
     _solve,
     clear_cache,
     complete_from_left,
@@ -221,13 +221,14 @@ class TestSharedWalks:
                 rng.shuffle(repeated)
                 for batch in (data, shuffled, repeated):
                     clear_cache()
-                    assert list(_dfs_sweep(batch)) == [solved[d] for d in batch]
+                    rec = _record(kind, RootVector(a, b))
+                    assert list(_dfs_sweep(rec, batch)) == [solved[d] for d in batch]
 
     def test_a_sweep_takes_one_weight(self):
         sl2 = Algebra.SL2_HAT
         data = [datum(sl2, {(LOW, 1): 1}), datum(sl2, {(HIGH, 1): 1})]
         with pytest.raises(ValueError, match="not of the weight"):
-            list(_dfs_sweep(data))
+            list(_dfs_sweep(_record(sl2, data[0].weight), data))
 
 
 class TestOracle:
@@ -385,27 +386,80 @@ class TestPlumbing:
         fresh = transition_l_to_r(reference_right)
         assert first == again == fresh
 
-    def test_cache_is_bounded_and_drops_the_oldest_first(self, monkeypatch):
-        data = [datum(Algebra.SL2_HAT, {(LOW, 1): m, (HIGH, 2): 1}) for m in range(12)]
+    def test_answers_are_held_and_dropped_with_their_weight(self, monkeypatch):
+        """Each answer is held both ways in the record of its weight and
+        drops with it, oldest weight first; a weight past the bound alone
+        keeps nothing, its answer included, and `clear_cache` empties all."""
+        record = transition._RECORD
+        searches = []
+        solve = transition._solve
+
+        def counting(known, solver):
+            searches.append(known)
+            return solve(known, solver)
+
+        def answers():
+            return {
+                known: value
+                for rec in record.values()
+                for (_, known), value in rec.answers.items()
+            }
+
+        sl2 = Algebra.SL2_HAT
+        data = [datum(sl2, {(LOW, 1): m, (HIGH, 2): 1}) for m in range(12)]
+        keys = [(sl2, d.weight) for d in data]
         clear_cache()
         partners = [transition_l_to_r(d) for d in data]
+        sizes = dict(zip(keys, (record[key].size for key in keys)))
         clear_cache()
-        monkeypatch.setattr(transition, "_CACHE_SIZE", 5)
-        for _ in range(2):
-            for d, partner in zip(data, partners):
+        assert not record and transition._held == 0
+        monkeypatch.setattr(transition, "_RECORD_SIZE", sum(sorted(sizes.values())[:5]))
+        monkeypatch.setattr(transition, "_solve", counting)
+        held = []  # the weights the record should hold, oldest first
+        misses = 0
+        # Forwards, then backwards: the newest weights answer without a search.
+        for order in (range(12), range(11, -1, -1)):
+            for i in order:
+                d, partner, key = data[i], partners[i], keys[i]
                 assert transition_l_to_r(d) == partner
-                assert len(_CACHE) <= 5
-            # Each solve stores both directions, T being an involution.
-            both = [x for d, partner in zip(data, partners) for x in (d, partner)]
-            assert [known for _, known in _CACHE] == both[-5:]
+                if key not in held:
+                    misses += 1
+                    held.append(key)
+                    while sum(map(sizes.get, held)) > transition._RECORD_SIZE:
+                        del held[0]
+                assert len(searches) == misses
+                assert list(record) == held
+                assert transition._held == sum(map(sizes.get, held))
+                # The answers of a weight are held in its record, and only there.
+                for (kind, w), rec in record.items():
+                    for (solver, known), value in rec.answers.items():
+                        assert solver == DFS and known.weight == value.weight == w
+                assert answers() == {
+                    x: y
+                    for d, partner, key in zip(data, partners, keys)
+                    if key in held
+                    for x, y in ((d, partner), (partner, d))
+                }
+        assert 12 < misses < 24
+
+        # A weight past the bound alone is searched and keeps nothing, not
+        # even its answer, which would fit the bound alone.
+        assert data[0] != partners[0] and sizes[keys[0]] > 16
+        monkeypatch.setattr(transition, "_RECORD_SIZE", 16)
+        clear_cache()
+        searches.clear()
+        for _ in range(2):
+            assert transition_l_to_r(data[0]) == partners[0]
+            assert not record and not answers() and transition._held == 0
+        assert searches == [data[0], data[0]]
 
     def test_the_walk_record_is_bounded_by_size_and_holds_fresh_paths(
         self, monkeypatch
     ):
-        """The record of each weight's walks and half-paths empties with the
-        cache, holds at most `_RECORD_SIZE` half-path indices and walk
-        leaves, the oldest weight dropped first, keeps no weight larger
-        than that alone, and holds the half-paths a fresh build gives."""
+        """The record of each weight's walks, half-paths and answers empties
+        with `clear_cache`, holds at most `_RECORD_SIZE` units, the oldest
+        weight dropped first, keeps no weight larger than that alone, and
+        holds the half-paths a fresh build gives."""
         record = transition._RECORD
 
         def held():
@@ -416,7 +470,7 @@ class TestPlumbing:
         transition_l_to_r(datum(sl2, {(LOW, 3): 1}))
         assert record and transition._held == held() > 0
         clear_cache()
-        assert not record and not _CACHE and transition._held == 0
+        assert not record and transition._held == 0
 
         # Six data of six weights, then a bound that holds the last three.
         data = [datum(sl2, {(LOW, 1): m, (HIGH, 2): 1}) for m in range(6)]
@@ -445,7 +499,7 @@ class TestPlumbing:
                 complete_from_left(seeded_datum(rng, kind))
             for w in (RootVector(3, 3), RootVector(2, 4)):
                 data = enumerate_data(kind, w)
-                list(_dfs_sweep(data))
+                list(_dfs_sweep(_record(kind, w), data))
                 _oracle_completions(data[0])
             assert transition._held == held()
             for (rec_kind, w), rec in record.items():
@@ -455,20 +509,26 @@ class TestPlumbing:
                 leaves = sum(map(len, rec.lows.values()))
                 for by_lean, spans in rec.tables.values():
                     leaves += sum(map(len, by_lean.values())) + len(spans)
-                assert rec.size == leaves + (rec.K + 1) * len(rec.paths)
+                answers = 8 * len(rec.answers)  # eight units each
+                assert rec.size == leaves + (rec.K + 1) * len(rec.paths) + answers
 
     @pytest.mark.parametrize("solver", [DFS, ORACLE])
     def test_a_miss_reads_the_flip_of_a_cached_answer(self, monkeypatch, solver):
-        """T(tau d) = tau T(d): on sl2hat a miss is answered from the cached
+        """T(tau d) = tau T(d): on sl2hat a miss is answered from the held
         flip, with no search and nothing stored."""
+        record = transition._RECORD
+
+        def held():
+            return {w: dict(rec.answers) for w, rec in record.items()}
+
         d = datum(Algebra.SL2_HAT, {(LOW, 2): 1, (HIGH, 1): 3}, (2,))
         clear_cache()
         partner = transition_l_to_r(d, solver)
-        cached = dict(_CACHE)
+        cached = held()
         monkeypatch.setattr(transition, "_solve", None)  # any search would fail
         assert transition_l_to_r(twist_tau(d), solver) == twist_tau(partner)
         assert transition_l_to_r(twist_tau(partner), solver) == twist_tau(d)
-        assert _CACHE == cached
+        assert held() == cached
 
     def test_a2_misses_take_no_flip_probe(self, monkeypatch):
         def no_flip(d):
@@ -480,9 +540,10 @@ class TestPlumbing:
         assert transition_l_to_r(transition_l_to_r(d)) == d
 
     def test_a_cold_solve_takes_no_flip_probe(self, monkeypatch):
-        """On an empty cache the probe cannot hit, so it is not made."""
+        """With no record of the swapped weight the probe cannot hit, so it
+        is not made."""
         def no_flip(d):
-            raise AssertionError("an empty cache holds no flip")
+            raise AssertionError("an empty record holds no flip")
 
         monkeypatch.setattr(transition, "twist_tau", no_flip)
         clear_cache()

@@ -4,6 +4,10 @@ The package models elements of the big crystal for the two rank-2 affine
 algebras as pairs of Lusztig data of equal weight, computes the unique
 completion of either datum from the other, and verifies the polytope
 axioms exhaustively at desk scale.
+
+The names of `crystal` (the operators and graph growth) and of `verify`
+(the sweeps) load on first access, as do those two modules, so that a
+program that only completes or checks data never imports them.
 """
 
 from .roots import (
@@ -62,30 +66,116 @@ from .transition import (
     complete_from_right,
     transition_l_to_r,
 )
-from .crystal import (
-    CrystalGraph,
-    crystal_graph,
-    e,
-    e_star,
-    eps,
-    eps_star,
-    f,
-    f_star,
-    lowest,
-    phi,
-    phi_star,
-    saito,
-    saito_star,
-    star,
-    tau,
-)
-from .verify import (
-    Report,
-    check_axioms,
-    check_crystal_axioms,
-    check_saito_formulas,
-    check_star_negation,
-    check_uniqueness,
-)
+
+# Read on first access (PEP 562): each name to the module that defines it.
+# The two module names map to themselves.
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "crystal",
+            "CrystalGraph",
+            "crystal_graph",
+            "e",
+            "e_star",
+            "eps",
+            "eps_star",
+            "f",
+            "f_star",
+            "lowest",
+            "phi",
+            "phi_star",
+            "saito",
+            "saito_star",
+            "star",
+            "tau",
+        ),
+        "crystal",
+    ),
+    **dict.fromkeys(
+        (
+            "verify",
+            "Report",
+            "check_axioms",
+            "check_crystal_axioms",
+            "check_saito_formulas",
+            "check_star_negation",
+            "check_uniqueness",
+        ),
+        "verify",
+    ),
+}
+
+__all__ = [
+    # roots
+    "ALPHA0",
+    "ALPHA1",
+    "FAMILIES",
+    "HIGH",
+    "LOW",
+    "ZERO",
+    "Algebra",
+    "RootVector",
+    "beta",
+    "cartan_pair",
+    "delta",
+    "ladder_root",
+    "length_ratio",
+    "max_real_index",
+    "root_label",
+    "simple_reflection",
+    "symmetrized_form",
+    # lusztig
+    "LusztigDatum",
+    "PartAbsent",
+    "PreconditionViolated",
+    "RealEntry",
+    "UnsupportedKind",
+    "add_part",
+    "datum",
+    "enumerate_data",
+    "is_purely_imaginary",
+    "largest_part",
+    "partitions",
+    "remove_part",
+    "trapezoid_datum",
+    "twist_s",
+    "twist_tau",
+    # polytope
+    "DecoratedPolytope",
+    "MVVerdict",
+    "MVViolation",
+    "VertexFan",
+    "is_mv",
+    "truncation_index",
+    "vertices",
+    # transition
+    "DFS",
+    "ORACLE",
+    "MultipleCompletionsError",
+    "NoCompletionError",
+    "SolverInvariantError",
+    "clear_cache",
+    "complete_from_left",
+    "complete_from_right",
+    "transition_l_to_r",
+    # crystal and verify, read on first access
+    *(name for name in _LAZY if name not in ("crystal", "verify")),
+]
+
+
+def __getattr__(name: str) -> object:
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    module = import_module(f".{_LAZY[name]}", __name__)
+    value = module if name == _LAZY[name] else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _LAZY.keys())
+
 
 __version__ = "0.1.0"

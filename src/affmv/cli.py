@@ -3,6 +3,8 @@
 Subcommands: complete (derive the other Lusztig datum), check (MV
 verdict for a pair), op (apply a word of crystal operators), graph
 (DOT export), render (SVG or TikZ drawing), verify (the sweep suites).
+A subcommand imports `crystal`, `render` and `verify` only if it uses
+them, so complete and check start without any of the three.
 
 Exit codes: 0 success or verification pass, 1 verification failure or an
 operator that does not apply, 2 usage or document errors or an input
@@ -18,7 +20,6 @@ import json
 import sys
 from typing import Sequence
 
-from . import crystal, verify
 from .documents import (
     DocumentError,
     dumps,
@@ -29,7 +30,6 @@ from .documents import (
 )
 from .lusztig import LusztigDatum, PreconditionViolated, UnsupportedKind
 from .polytope import DecoratedPolytope, PathTooLong, is_mv
-from .render import render_svg, render_tikz
 from .roots import Algebra, RootVector
 from .transition import (
     DFS,
@@ -58,21 +58,23 @@ _DEFAULT_DEPTH = {
 }
 _SAITO_DEPTH = 6
 
+# Each operator token: the `crystal` function it applies, looked up when
+# `op` runs, and its node (None for the involutions star and tau).
 _TOKENS = {
-    "e0": lambda b: crystal.e(0, b),
-    "e1": lambda b: crystal.e(1, b),
-    "f0": lambda b: crystal.f(0, b),
-    "f1": lambda b: crystal.f(1, b),
-    "e0*": lambda b: crystal.e_star(0, b),
-    "e1*": lambda b: crystal.e_star(1, b),
-    "f0*": lambda b: crystal.f_star(0, b),
-    "f1*": lambda b: crystal.f_star(1, b),
-    "s0": lambda b: crystal.saito(0, b),
-    "s1": lambda b: crystal.saito(1, b),
-    "s0*": lambda b: crystal.saito_star(0, b),
-    "s1*": lambda b: crystal.saito_star(1, b),
-    "star": crystal.star,
-    "tau": crystal.tau,
+    "e0": ("e", 0),
+    "e1": ("e", 1),
+    "f0": ("f", 0),
+    "f1": ("f", 1),
+    "e0*": ("e_star", 0),
+    "e1*": ("e_star", 1),
+    "f0*": ("f_star", 0),
+    "f1*": ("f_star", 1),
+    "s0": ("saito", 0),
+    "s1": ("saito", 1),
+    "s0*": ("saito_star", 0),
+    "s1*": ("saito_star", 1),
+    "star": ("star", None),
+    "tau": ("tau", None),
 }
 
 
@@ -83,11 +85,13 @@ def _read_json(path: str) -> object:
         else:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
+        return json.loads(text)
     except OSError as err:
         raise DocumentError(f"cannot read {path}: {err}") from err
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:
+        # ValueError covers malformed JSON, bytes that are not UTF-8 and
+        # integer literals past the interpreter's digit limit;
+        # RecursionError, nesting deeper than the recursion limit.
         raise DocumentError(f"invalid JSON in {path}: {err}") from err
 
 
@@ -122,6 +126,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_op(args: argparse.Namespace) -> int:
+    from . import crystal
+
     if args.start is not None:
         d = parse_datum(_read_json(args.start))
         if args.kind is not None and d.kind.value != args.kind:
@@ -133,14 +139,15 @@ def _cmd_op(args: argparse.Namespace) -> int:
         b = crystal.lowest(Algebra(args.kind))
     tokens = args.word.split()
     for pos, token in enumerate(tokens):
-        op = _TOKENS.get(token)
-        if op is None:
+        if token not in _TOKENS:
             raise DocumentError(
                 f"unknown operator {token!r} at position {pos}; "
                 f"expected one of {sorted(_TOKENS)}"
             )
+        name, i = _TOKENS[token]
+        op = getattr(crystal, name)
         try:
-            result = op(b)
+            result = op(b) if i is None else op(i, b)
         except (PreconditionViolated, UnsupportedKind) as err:
             sys.stderr.write(f"operator {token!r} at position {pos} failed: {err}\n")
             return EXIT_FAIL
@@ -155,12 +162,16 @@ def _cmd_op(args: argparse.Namespace) -> int:
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
+    from . import crystal
+
     g = crystal.crystal_graph(Algebra(args.kind), args.depth)
     sys.stdout.write(graph_to_dot(g))
     return EXIT_OK
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
+    from .render import render_svg, render_tikz
+
     obj = _read_json(args.input)
     if isinstance(obj, dict) and "left" in obj:
         P = parse_polytope(obj)
@@ -172,6 +183,8 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import crystal, verify
+
     kind = Algebra(args.kind)
     box = (
         RootVector(args.box[0], args.box[1])

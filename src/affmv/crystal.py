@@ -22,7 +22,7 @@ indexed by both data, so only a new node is completed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .lusztig import (
     LusztigDatum,
@@ -184,8 +184,7 @@ def saito_star(i: int, b: DecoratedPolytope) -> DecoratedPolytope:
     return star(saito(i, sb))
 
 
-@dataclass(frozen=True)
-class CrystalGraph:
+class CrystalGraph(NamedTuple):
     """Breadth-first slice of the crystal below a raising depth.
 
     Nodes are unique elements in discovery order; edges record every

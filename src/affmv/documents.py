@@ -11,12 +11,14 @@ mutually inverse on everything the tool emits.
 from __future__ import annotations
 
 import json
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
-from .crystal import CrystalGraph
 from .lusztig import LusztigDatum, _check_entry, _check_partition, datum
 from .polytope import DecoratedPolytope, MVVerdict, is_mv, vertices
 from .roots import LOW, Algebra
+
+if TYPE_CHECKING:
+    from .crystal import CrystalGraph
 
 __all__ = [
     "DocumentError",

@@ -15,7 +15,6 @@ which they are constant, so the truncated scan equals the infinite one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .lusztig import LusztigDatum, Partition, RealEntry, largest_part, partitions
@@ -210,8 +209,9 @@ class MVViolation(NamedTuple):
     note: str
 
 
-@dataclass(frozen=True)
-class MVVerdict:
+class MVVerdict(NamedTuple):
+    """The MV verdict of a polytope; true exactly when it has no violation."""
+
     ok: bool
     violations: tuple[MVViolation, ...]
 

@@ -8,7 +8,7 @@ deterministic text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import crystal
 from .crystal import CrystalGraph, crystal_graph
@@ -49,8 +49,7 @@ _STRING_NODES = 2
 _STRING_LENGTH = 3
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     """Outcome of one verification sweep."""
 
     name: str

@@ -207,6 +207,38 @@ class TestDocumentErrors:
         code, out, err = run(capsys, "complete", path, "--side", "right")
         assert (code, out, err) == (cli.EXIT_USAGE, "", f"error: {line}\n")
 
+    @pytest.mark.parametrize(
+        "argv, data, reason",
+        [
+            (["complete", "--side", "right"], b'\xff{"algebra": "sl2hat"}', "decode byte 0xff"),
+            (["complete", "--side", "right"], b"[" * 100_000, "recursion depth"),
+            (["complete", "--side", "right", "-"], b"[" * 100_000, "recursion depth"),
+            (["check"], b"[" * 100_000, "recursion depth"),
+            (
+                ["complete", "--side", "right"],
+                b'{"algebra": "sl2hat", "delta": [%s]}' % (b"9" * 5000),
+                "(4300",
+            ),
+        ],
+        ids=["not-utf-8", "deep-file", "deep-stdin", "deep-check", "long-integer"],
+    )
+    def test_undecodable_input_is_invalid_json(
+        self, capsys, monkeypatch, tmp_path, argv, data, reason
+    ):
+        """Bytes that are not UTF-8, nesting past the recursion limit and an
+        integer literal past the interpreter's digit limit exit 2."""
+        if argv[-1] == "-":
+            monkeypatch.setattr("sys.stdin", io.StringIO(data.decode()))
+            path = "-"
+        else:
+            path = tmp_path / "d.json"
+            path.write_bytes(data)
+            argv = [argv[0], str(path), *argv[1:]]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err.startswith(f"error: invalid JSON in {path}: ")
+        assert reason in err and err.count("\n") == 1
+
 
 class TestCheck:
     def test_mv_pair_passes(self, capsys, tmp_path, reference_pair):

@@ -363,6 +363,10 @@ def operator_graph(kind, depth):
 class TestGraphs:
     def test_first_shell(self):
         g = crystal_graph(Algebra.SL2_HAT, 1)
+        assert g._fields == (
+            "kind", "depth", "nodes", "node_depths", "node_weights", "edges"
+        )
+        assert (g.kind, g.depth, g.node_depths) == (Algebra.SL2_HAT, 1, (0, 1, 1))
         assert len(g.nodes) == 3 and len(g.edges) == 4
         labels = sorted(label for _, label, _ in g.edges)
         assert labels == ["e0", "e0*", "e1", "e1*"]

@@ -167,6 +167,7 @@ class TestVerdicts:
             MVViolation(1, 2, "max is -1, expected 0"),
             MVViolation(2, 2, "min is 1, expected 0"),
         )
+        assert not verdict.ok and not verdict
 
     def test_partition_step_mismatch_is_flagged(self):
         left = datum(Algebra.SL2_HAT, {(LOW, 1): 1}, (1,))

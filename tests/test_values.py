@@ -1,4 +1,5 @@
-"""Value types: RootVector, LusztigDatum and DecoratedPolytope are tuples.
+"""Value types: RootVector, LusztigDatum, DecoratedPolytope, MVVerdict,
+CrystalGraph and Report are tuples.
 
 Each is an immutable tuple with no instance dict, so it builds, hashes
 and compares in C.  These tests pin what that must not change: repr and
@@ -14,10 +15,12 @@ import pickle
 
 import pytest
 
+from affmv.crystal import crystal_graph
 from affmv.lusztig import LusztigDatum, RealEntry, _derived, datum
-from affmv.polytope import DecoratedPolytope
+from affmv.polytope import DecoratedPolytope, is_mv
 from affmv.roots import HIGH, LOW, ZERO, Algebra, RootVector
 from affmv.transition import complete_from_right
+from affmv.verify import Report
 
 SL2 = Algebra.SL2_HAT
 A2 = Algebra.A2_TWISTED
@@ -38,6 +41,9 @@ def samples():
         zero,
         DecoratedPolytope(zero, zero),
         complete_from_right(SMALL),
+        is_mv(DecoratedPolytope(SMALL, SMALL)),
+        crystal_graph(SL2, 1),
+        Report("demo", A2, "scope", (("hits", 7),), ("broken",), ("a note",)),
     ]
 
 
@@ -65,6 +71,12 @@ class TestLayout:
             assert not hasattr(value, "__dict__"), type(value)
             with pytest.raises(AttributeError):
                 value.extra = 1
+
+    def test_fields_are_read_only(self):
+        for value in samples():
+            for field in value._fields:
+                with pytest.raises(AttributeError):
+                    setattr(value, field, getattr(value, field))
 
 
 class TestCopies:

@@ -10,6 +10,8 @@ The names of `crystal` (the operators and graph growth) and of `verify`
 program that only completes or checks data never imports them.
 """
 
+from types import ModuleType as _ModuleType
+
 from .roots import (
     ALPHA0,
     ALPHA1,
@@ -105,62 +107,12 @@ _LAZY = {
     ),
 }
 
+# Every public name once: those imported above and those read on first access.
 __all__ = [
-    # roots
-    "ALPHA0",
-    "ALPHA1",
-    "FAMILIES",
-    "HIGH",
-    "LOW",
-    "ZERO",
-    "Algebra",
-    "RootVector",
-    "beta",
-    "cartan_pair",
-    "delta",
-    "ladder_root",
-    "length_ratio",
-    "max_real_index",
-    "root_label",
-    "simple_reflection",
-    "symmetrized_form",
-    # lusztig
-    "LusztigDatum",
-    "PartAbsent",
-    "PreconditionViolated",
-    "RealEntry",
-    "UnsupportedKind",
-    "add_part",
-    "datum",
-    "enumerate_data",
-    "is_purely_imaginary",
-    "largest_part",
-    "partitions",
-    "remove_part",
-    "trapezoid_datum",
-    "twist_s",
-    "twist_tau",
-    # polytope
-    "DecoratedPolytope",
-    "MVVerdict",
-    "MVViolation",
-    "VertexFan",
-    "is_mv",
-    "truncation_index",
-    "vertices",
-    # transition
-    "DFS",
-    "ORACLE",
-    "MultipleCompletionsError",
-    "NoCompletionError",
-    "SolverInvariantError",
-    "clear_cache",
-    "complete_from_left",
-    "complete_from_right",
-    "transition_l_to_r",
-    # crystal and verify, read on first access
-    *(name for name in _LAZY if name not in ("crystal", "verify")),
-]
+    name
+    for name, value in tuple(globals().items())
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+] + [name for name, module in _LAZY.items() if name != module]
 
 
 def __getattr__(name: str) -> object:

@@ -14,7 +14,7 @@ import json
 from typing import TYPE_CHECKING, Any, Callable
 
 from .lusztig import LusztigDatum, _check_entry, _check_partition, datum
-from .polytope import DecoratedPolytope, MVVerdict, is_mv, vertices
+from .polytope import MAX_PATH_INDEX, DecoratedPolytope, MVVerdict, is_mv, vertices
 from .roots import LOW, Algebra
 
 if TYPE_CHECKING:
@@ -30,6 +30,15 @@ __all__ = [
     "graph_to_dot",
     "dumps",
 ]
+
+# Multiplicities and parts have at most 4,000 digits.  Every integer a
+# command prints is at most a sum of them, one term per entry or part,
+# each times a root coordinate of at most 2^22 (k is at most
+# `MAX_PATH_INDEX`) and a small constant, so it stays some 290 digits
+# under the interpreter's 4,300-digit limit on converting an int to a
+# string.  No message formats a number past these bounds.
+_TOO_LONG = 10**4000
+
 
 class DocumentError(ValueError):
     """The input does not conform to the document schema."""
@@ -72,6 +81,8 @@ def parse_datum(obj: Any) -> LusztigDatum:
         _require_keys(item, ("family", "k", "mult"), (), "real entry")
         family, k, mult = item["family"], item["k"], item["mult"]
         _datum_rule(_check_entry, family, k, mult)
+        if k > MAX_PATH_INDEX:
+            raise DocumentError(f"ladder index is past the limit {MAX_PATH_INDEX}")
         if (family, k) in entries:
             raise DocumentError(f"duplicate real entry for ({family}, {k})")
         entries[(family, k)] = mult
@@ -79,6 +90,8 @@ def parse_datum(obj: Any) -> LusztigDatum:
     if not isinstance(parts, list):
         raise DocumentError("'delta' must be a list")
     _datum_rule(_check_partition, parts)
+    if max([*entries.values(), *parts], default=0) >= _TOO_LONG:
+        raise DocumentError("a multiplicity or part has more than 4000 digits")
     return datum(kind, entries, parts)
 
 

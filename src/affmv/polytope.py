@@ -278,6 +278,10 @@ def mv_violations(
     and 4.  With first_only the conditions are tried in order and the
     scan stops at the first failure: the one violation returned is the
     lowest-indexed failure of the lowest-numbered failing condition.
+
+    The two data must be of one weight.  Then d1 - d2, the difference of
+    the vertical edges, is (|left_delta| - |right_delta|)*delta, so
+    partitions of one size sit between parallel edges.
     """
     bad: list[MVViolation] = []
     # Condition 2's defect is a min, the negative of the max found.
@@ -311,7 +315,9 @@ def _edge_violations(
     """Conditions 3 and 4 of `mv_violations`, given the vertical edges.
 
     d1 and d2 are the bottom and the top `vertical_edge`.  These are the
-    only conditions that read the partitions.
+    only conditions that read the partitions.  The data are of one weight
+    (`mv_violations`), so edges that are not parallel bound partitions of
+    different sizes.
     """
     bad: list[MVViolation] = []
     num, den = part_size_ratio(kind, d1)
@@ -327,8 +333,6 @@ def _edge_violations(
         fail = None
         if num <= 0 or num % den:
             fail = f"prescribed gap {num}/{den} is not a positive integer"
-        elif sum(left_delta) == sum(right_delta):
-            fail = "partitions of equal size may not differ"
         else:
             s = num // den
             if sum(left_delta) > sum(right_delta):

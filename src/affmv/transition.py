@@ -306,6 +306,7 @@ def _ladder_leaves(
     kind: Algebra,
     family: str,
     V: tuple[tuple[int, ...], tuple[int, ...]],
+    run: Sequence[RealEntry],
     w: RootVector,
 ) -> Iterator[_Leaf]:
     """The choices on the unknown datum's `family` ladder that pass its condition.
@@ -326,11 +327,22 @@ def _ladder_leaves(
     it is at most ry because V.x[k-1] <= wy: the search tests neither
     gap < 0 nor m*s <= ry.
 
-    One pass over k = 2..K, before any m1 is tried, follows the forced
-    chain, the picks every step makes while c < 0 (the point m = gap/s),
-    and records t_k = V.y[k] - cx at each index it visits, cx being the
-    chain's use before k.  It stops at the first k where gap % s != 0:
-    there the point does not exist.  Let T be the largest t_k.
+    The forced chain is the picks every step makes while c < 0, the
+    point m = gap/s, and it is the known run on the paired ladder moved up
+    one rung.  That rests on the rung identity of `roots.ladder_root`: on
+    both algebras and for every k >= 1, low root k and high root k+1 have
+    one b, and high root k and low root k+1 one a, so the y of root k+1
+    here is the x of root k on the paired ladder.  A point at k sets
+    cy = V.x[k-1], so at k+1 the gap is the known step in x at k,
+    m*x_paired(k) for a known entry (k, m) and 0 for none: the chain picks
+    (s+1, m) for each known entry (s, m) and m = 0 everywhere else, the
+    point always exists, and cy = V.x[k-2] before k.  The chain ends with
+    cy = V.x[K], which the known datum's own ladder uses, so cy <= wy.
+    Write t_k = V.y[k] - cx, cx being the chain's use before k, and T for
+    the largest t_k.  The pick at k lowers t_{k+1} - t_k by its x, so t
+    rises only where V.y does, at the known entries, and the one pass
+    over the known run reads t at k = 2 and at each entry, before any m1
+    is tried.
 
     - The walk for a given m1 follows the chain while t_k < m1, since
       each step is then the chain's point.  At the first k with
@@ -340,18 +352,21 @@ def _ladder_leaves(
       chain's state and picks there.  The start fits under wx, because
       m1 + cx = V.y[k] <= wx, and the chain's use only grows, so every
       earlier step of the chain fits too.
-    - For m1 > T, c < 0 at every index, so the walk is the whole chain;
-      if the chain stopped, no such m1 survives.  Otherwise the cap
-      m1 + cx <= wx, with cx the whole chain's use, leaves the one
-      interval T+1 .. wx - cx, yielded as one leaf with no walk.  The
-      chain ends with cy <= V.x[K], which the known datum's own ladder
-      uses, so cy <= wy always.
+    - For m1 > T, c < 0 at every index, so the walk is the whole chain,
+      and the cap m1 + cx <= wx, with cx the whole chain's use, leaves
+      the one interval T+1 .. wx - cx, yielded as one leaf with no walk.
     - A zero gap allows only m = 0.  If the known datum has no entry at
       k on the paired ladder, then at k+1 the gap is still 0 and c is
       unchanged (c moves only with the known entry at k+1), so m = 0
       stays forced until the known datum's next support index j >= k.
-      V.x rises exactly at the support, so j is a bisection of V.x.  The
-      chain and the walks jump there; t makes no record on the way.
+      V.x rises exactly at the support, so j is a bisection of V.x, and
+      the walks jump there.
+    - A walk node with c < 0 is at k+1 after a point at k, after a
+      zero-gap jump (the same, with m = 0 on the way), or a lookahead
+      child of the residue class below.  In the first two its gap is the
+      known step in x at k, a multiple of the y of root k+1 by the rung
+      identity, and in the third the class makes it one, so its point
+      always exists and the walk tests only that it fits.
 
     At a walk node with c == 0, let (sx, sy) and (ax, ay) be the roots at
     k and k+1.  A child m reaches k+1 with c' = dvy - m*sx and
@@ -359,10 +374,11 @@ def _ladder_leaves(
     in y at k+1 and in x at k.  The search pushes only the children that
     survive index k+1; the others would be pruned there:
 
-    - Lookahead.  A child survives if c' == 0, that is m*sx == dvy (m = 0
-      when dvy == 0), or if c' < 0 and its point at k+1 exists and fits:
-      m*sy + q*ay == g and m*sx + q*ax <= rx for some q >= 0, with
-      m*sy <= gap from index k.  Consecutive roots of a ladder have
+    - Lookahead.  A child survives if c' == 0, that is m = dvy/sx, the
+      known multiplicity at k+1 (0 for none; y of the paired root k+1 is
+      sx by the rung identity), or if c' < 0 and its point at k+1 exists
+      and fits: m*sy + q*ay == g and m*sx + q*ax <= rx for some q >= 0,
+      with m*sy <= gap from index k.  Consecutive roots of a ladder have
       sx*ay - sy*ax == 1, so -ax inverts sy mod ay: the point exists
       exactly for m == -g*ax (mod ay), and it fits exactly for
       m <= ay*rx - g*ax, since the x it uses with m is (m + g*ax)/ay.
@@ -403,28 +419,18 @@ def _ladder_leaves(
         return (sy, sx) if swap else (sx, sy)
 
     forced: list[tuple[int, int]] = []
-    starts: list[tuple[int, int, int, int, int]] = []  # (t, k, cx, cy, len(forced))
-    T, cx, cy = -1, 0, 0
-    whole = True
-    k = 2
-    while k <= K:
-        t = Vy[k] - cx
-        if t > T:
-            T = t
-            starts.append((t, k, cx, cy, len(forced)))
-        gap = Vx[k - 1] - cy
-        if gap == 0:
-            k = max(k + 1, bisect_right(Vx, Vx[k - 1], k))
-            continue
-        sx, sy = root(k)
-        m, r = divmod(gap, sy)
-        if r:
-            whole = False
-            break
-        forced.append((k, m))
-        cx += m * sx
-        cy += m * sy
-        k += 1
+    starts = [(Vy[2], 2, 0, 0, 0)]  # (t, k, cx, cy, len(forced)) at each record
+    T, cx, last = Vy[2], 0, 0
+    for _, s, m in run:
+        # t_s reads the picks before s: all but the last if it lands at s.
+        ahead = len(forced) > 0 and forced[-1][0] == s
+        ux = cx - last if ahead else cx
+        if Vy[s] - ux > T:  # never at s <= 2
+            T = Vy[s] - ux
+            starts.append((T, s, ux, Vx[s - 2], len(forced) - ahead))
+        forced.append((s + 1, m))
+        last = m * root(s + 1)[0]
+        cx += last
 
     for m1, k, ux, uy, n in starts:
         stack = [(k, wx - m1 - ux, wy - uy, tuple(forced[:n]))]
@@ -445,8 +451,8 @@ def _ladder_leaves(
             if swap:
                 sx, sy = sy, sx
             if c:
-                q, r = divmod(gap, sy)
-                if not r and q * sx <= rx:
+                q = gap // sy
+                if q * sx <= rx:
                     stack.append((k + 1, rx - q * sx, ry - gap, picks + ((k, q),)))
                 continue
             if k < K and Vx[k + 1] == Vx[k - 1]:
@@ -474,13 +480,13 @@ def _ladder_leaves(
             while m > low:
                 stack.append((k + 1, rx - m * sx, ry - m * sy, picks + ((k, m),)))
                 m -= ay
-            if low * sx == dvy and low * sy <= gap and dvy <= rx:
+            if low * sy <= gap and dvy <= rx:
                 if low:
                     picks += ((k, low),)
                 stack.append((k + 1, rx - dvy, ry - low * sy, picks))
 
-    if whole and T < wx - cx:
-        yield tuple(forced), T + 1, wx - cx, wx - cx, wy - cy
+    if T < wx - cx:
+        yield tuple(forced), T + 1, wx - cx, wx - cx, wy - Vx[K]
 
 
 def _edge_candidates(
@@ -555,13 +561,17 @@ def _dfs_sweep(
     depends on the multiplicity m being chosen, linearly with the
     positive slope s, the root's y (`polytope.HalfPath`).  Written as
     max(c, s*m - gap) == 0, the condition allows no m when c > 0, every
-    m in 0..gap//s when c == 0, and only m = gap/s when c < 0: one
-    divmod, no filtering.  Index 1 has no condition, and its
-    multiplicity m1 enters only c, so the search walks only the m1 where
-    the forced chain reaches a new threshold, starting there, and yields
-    every m1 past the last threshold as one interval leaf.  Only the m
-    that survive index k+1 are pushed, and runs of m = 0 are jumped to
-    the first index where a nonzero m survives (`_ladder_leaves`).
+    m in 0..gap//s when c == 0, and only m = gap/s when c < 0, which the
+    rung identity of `_ladder_leaves` makes an integer at every node the
+    walk reaches: one division, no filtering.  Index 1 has no condition,
+    and its multiplicity m1 enters only c, so the search walks only the
+    m1 where the forced chain reaches a new threshold, starting there,
+    and yields every m1 past the last threshold as one interval leaf.
+    By the same identity the forced chain is the known half moved up one
+    rung, so each walk reads the known run as well as its half-path.
+    Only the m that survive index k+1 are pushed, and runs of m = 0 are
+    jumped to the first index where a nonzero m survives
+    (`_ladder_leaves`).
 
     The low ladder never reads the high choices, so each ladder is
     searched once, both bounded by the weight: the high walk reads only
@@ -581,12 +591,13 @@ def _dfs_sweep(
         high = rec.tables.get(low_half)
         if high is None:
             high = rec.tables[low_half] = _high_table(
-                kind, _ladder_leaves(kind, HIGH, kp.low, w)
+                kind, _ladder_leaves(kind, HIGH, kp.low, low_half, w)
             )
             _hold(rec, sum(map(len, high[0].values())) + len(high[1]))
         low = rec.lows.get(high_half)
         if low is None:
-            low = rec.lows[high_half] = list(_ladder_leaves(kind, LOW, kp.high, w))
+            low = list(_ladder_leaves(kind, LOW, kp.high, high_half, w))
+            rec.lows[high_half] = low
             _hold(rec, len(low))
         yield _join(known, kp, high, low, rec)
 

@@ -499,6 +499,70 @@ class TestSizeLimit:
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
+    NINES = "9" * 4300  # the most digits `json.loads` reads as an int
+
+    @staticmethod
+    def text(kind, k=None, mult="1", part=None):
+        """A datum document as JSON text, its integers written verbatim."""
+        real = f'{{"family": "low", "k": {k}, "mult": {mult}}}' if k else ""
+        delta = part or ""
+        return f'{{"algebra": "{kind}", "real": [{real}], "delta": [{delta}]}}'
+
+    @pytest.mark.parametrize(
+        "argv, doc, line",
+        [
+            (["complete", "--side", "right"], ("sl2hat", None, "1", NINES), "digits"),
+            (["complete", "--side", "right"], ("sl2hat", NINES), "index"),
+            (["check"], ("sl2hat", NINES), "index"),
+            (["check"], ("a2(2)", None, "1", NINES), "digits"),
+            (["complete", "--side", "right"], ("a2(2)", 2, NINES), "digits"),
+            (["render"], ("sl2hat", NINES), "index"),
+            (["render"], ("sl2hat", 2**21 + 1), "index"),
+            (["complete", "--side", "right"], ("sl2hat", 1, "1" * 4200), "digits"),
+            (["complete", "--side", "right"], ("sl2hat", 1, "1" + "0" * 4000), "digits"),
+        ],
+        ids=[
+            "complete-delta", "complete-k", "check-k", "check-a2-delta",
+            "complete-a2-mult", "render-k", "render-k-past-limit",
+            "complete-mult-4200-digits", "complete-mult-4001-digits",
+        ],
+    )
+    def test_integers_past_the_document_bounds_exit_2(
+        self, capsys, tmp_path, argv, doc, line
+    ):
+        """A `k` past `MAX_PATH_INDEX`, or a multiplicity or part of more
+        than 4,000 digits, is refused with one line, whose message never
+        formats the number; a pair document holds the datum on both sides."""
+        text = self.text(*doc)
+        if argv[0] != "complete":
+            text = f'{{"left": {text}, "right": {text}}}'
+        path = tmp_path / "d.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        message = {
+            "index": "ladder index is past the limit 2097152",
+            "digits": "a multiplicity or part has more than 4000 digits",
+        }[line]
+        assert (code, out, err) == (cli.EXIT_USAGE, "", f"error: {message}\n")
+
+    def test_integers_at_the_document_bounds_are_read(self, capsys, tmp_path):
+        """A multiplicity of 4,000 digits completes, a pair with a part of
+        4,000 digits is checked, and k at `MAX_PATH_INDEX` is read and refused
+        only by the path size limit."""
+        path = tmp_path / "d.json"
+        path.write_text(self.text("sl2hat", 1, "9" * 4000), encoding="utf-8")
+        code, out, _ = run(capsys, "complete", str(path), "--side", "right")
+        assert code == cli.EXIT_OK and json.loads(out)["mv"] is True
+        side = self.text("a2(2)", None, "1", "9" * 4000)
+        path.write_text(f'{{"left": {side}, "right": {side}}}', encoding="utf-8")
+        code, out, _ = run(capsys, "check", str(path))
+        assert code == cli.EXIT_FAIL  # a datum with parts is not its own partner
+        assert json.loads(out)["weight"] == [10**4000 - 1, 2 * (10**4000 - 1)]
+        path.write_text(self.text("sl2hat", 2**21), encoding="utf-8")
+        code, out, err = run(capsys, "complete", str(path), "--side", "right")
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err == "error: ladder index 2097153 is past the supported limit 2097152\n"
+
 
 class TestUsage:
     def test_missing_subcommand_is_rejected_by_argparse(self, capsys):

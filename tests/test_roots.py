@@ -280,6 +280,14 @@ class TestLadders:
                 assert max_real_index(kind, box) == scan(box), box
 
     @pytest.mark.parametrize("kind", KINDS)
+    def test_consecutive_rungs_of_the_two_ladders_share_a_coordinate(self, kind):
+        """The rung identity the transition's forced chain reads: low root k
+        and high root k+1 have one b, high root k and low root k+1 one a."""
+        for k in range(1, 10**5 + 1):
+            assert ladder_root(kind, LOW, k)[1] == ladder_root(kind, HIGH, k + 1)[1], k
+            assert ladder_root(kind, HIGH, k)[0] == ladder_root(kind, LOW, k + 1)[0], k
+
+    @pytest.mark.parametrize("kind", KINDS)
     def test_run_tops_decide_which_roots_fit(self, kind):
         """k fits under a box exactly when it is at most its run's top.
 

@@ -33,6 +33,7 @@ from affmv.documents import datum_to_obj
 from affmv.lusztig import (
     LusztigDatum,
     RealEntry,
+    _ladder_runs,
     _real_parts,
     datum,
     enumerate_data,
@@ -708,10 +709,13 @@ def _reference_leaves(table, X, Y, nxt, wx, wy):
 def ladder_inputs(known, family):
     """The arguments `_dfs_sweep` gives `_ladder_leaves` for the unknown
     datum's `family` ladder when it sweeps `known`: the known half it
-    pairs with."""
+    pairs with, as a half-path and as its run of entries."""
     kind, w = known.kind, known.weight
     kp = path_prefixes(known, weight_truncation_index(kind, w))
-    return kind, family, kp.low if family == HIGH else kp.high, w
+    low_run, high_run = _ladder_runs(known.real)
+    if family == HIGH:
+        return kind, family, kp.low, low_run, w
+    return kind, family, kp.high, high_run, w
 
 
 def reference_inputs(known, family):
@@ -782,6 +786,23 @@ class TestForcedChain:
         assert sorted(expanded(leaves)) == sorted(
             _reference_leaves(*reference_inputs(known, family))
         )
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_interval_picks_are_the_paired_run_one_rung_up(self, kind, family):
+        """The interval leaf, yielded last, picks (s+1, m) for each entry
+        (s, m) of the known run it pairs with, and no other leaf spans."""
+        rng = random.Random(2205)
+        spans = 0
+        for _ in range(200):
+            args = ladder_inputs(seeded_datum(rng, kind), family)
+            leaves = list(_ladder_leaves(*args))
+            assert all(lo == hi for _, lo, hi, _, _ in leaves[:-1])
+            picks, lo, hi, _, _ = leaves[-1]
+            if lo < hi:
+                spans += 1
+                assert picks == tuple((s + 1, m) for _, s, m in args[3])
+        assert spans >= 50  # the case is met, not vacuous
 
     def test_partners_are_pinned(self):
         """DFS partners of 100 seeded data per algebra, from both sides,

@@ -425,7 +425,7 @@ def _ladder_leaves(
         # t_s reads the picks before s: all but the last if it lands at s.
         ahead = len(forced) > 0 and forced[-1][0] == s
         ux = cx - last if ahead else cx
-        if Vy[s] - ux > T:  # never at s <= 2
+        if Vy[s] - ux > T:  # never at s <= 2: no pick before s, and Vy[s] <= T
             T = Vy[s] - ux
             starts.append((T, s, ux, Vx[s - 2], len(forced) - ahead))
         forced.append((s + 1, m))

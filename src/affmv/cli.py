@@ -81,7 +81,10 @@ _TOKENS = {
 def _read_json(path: str) -> object:
     try:
         if path == "-":
-            text = sys.stdin.read()
+            # Decode the bytes as a file is decoded, whatever the locale's
+            # error handler; a text stream without a buffer is read as is.
+            buffer = getattr(sys.stdin, "buffer", None)
+            text = sys.stdin.read() if buffer is None else buffer.read().decode("utf-8")
         else:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()

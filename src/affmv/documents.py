@@ -11,6 +11,7 @@ mutually inverse on everything the tool emits.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import TYPE_CHECKING, Any, Callable
 
 from .lusztig import LusztigDatum, _check_entry, _check_partition, datum
@@ -45,8 +46,60 @@ class DocumentError(ValueError):
 
 
 def dumps(obj: Any) -> str:
-    """Deterministic JSON rendering used by every command."""
-    return json.dumps(obj, indent=2) + "\n"
+    """Deterministic JSON rendering used by every command.
+
+    The bytes are those of `json.dumps(obj, indent=2) + "\\n"` for every
+    value with string keys; with an indent, `json` runs its pure-Python
+    encoder, so this writes dicts and lists itself.  Strings go through
+    the C escaper `json` uses, ints through `int.__repr__`, and other
+    scalars through `json.dumps`.  A list of ints and a list of int pairs
+    (the vertex paths) are one join each.
+    """
+    out: list[str] = []
+    _write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _write(obj: Any, nl: str, out: list[str]) -> None:
+    """Append obj's indented JSON to out; nl is a newline and its indent."""
+    if isinstance(obj, str):
+        out.append(_escape(obj))
+    elif type(obj) is int:
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)) and obj:
+        inner = nl + "  "
+        types = set(map(type, obj))
+        if types == {int}:
+            out.append(f"[{inner}{(',' + inner).join(map(int.__repr__, obj))}{nl}]")
+            return
+        if types == {list} and set(map(len, obj)) == {2}:
+            flat = list(chain.from_iterable(obj))
+            if set(map(type, flat)) == {int}:
+                deeper = inner + "  "
+                pair = f"[{deeper}{{}},{deeper}{{}}{inner}]".format
+                rows = (',' + inner).join(map(pair, flat[::2], flat[1::2]))
+                out.append(f"[{inner}{rows}{nl}]")
+                return
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(obj, dict) and obj:
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            out.append(f"{sep}{_escape(key)}: ")
+            _write(value, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:  # None, bools, floats, ints of other types, empty dicts and lists
+        out.append(json.dumps(obj))
 
 
 def _require_keys(obj: dict, required: tuple[str, ...], optional: tuple[str, ...], what: str) -> None:
@@ -165,8 +218,7 @@ def polytope_to_obj(
     }
     if with_vertices:
         obj["vertices"] = {
-            name: [[p.a, p.b] for p in path]
-            for name, path in vertices(P)._asdict().items()
+            name: list(map(list, path)) for name, path in vertices(P)._asdict().items()
         }
     return obj
 

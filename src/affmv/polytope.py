@@ -135,8 +135,10 @@ def half_path(
     not `upto`.
     """
     if upto > MAX_PATH_INDEX:
+        digits = len(str(upto))  # a huge index is named by its digit count
+        index = upto if digits <= 30 else f"of {digits} digits"
         raise PathTooLong(
-            f"ladder index {upto} is past the supported limit {MAX_PATH_INDEX}"
+            f"ladder index {index} is past the supported limit {MAX_PATH_INDEX}"
         )
     xs: list[int] = []
     ys: list[int] = []
@@ -193,13 +195,13 @@ class VertexFan(NamedTuple):
 
 def vertices(P: DecoratedPolytope) -> VertexFan:
     K = truncation_index(P)
-    w = P.weight
+    wa, wb = P.weight
     L = path_prefixes(P.left, K)
     R = path_prefixes(P.right, K)
-    mu_r = tuple(RootVector(a, b) for b, a in zip(*R.low))
-    mu_r_top = tuple(w - RootVector(a, b) for a, b in zip(*R.high))
-    mu_l = tuple(RootVector(a, b) for a, b in zip(*L.high))
-    mu_l_top = tuple(w - RootVector(a, b) for b, a in zip(*L.low))
+    mu_r = tuple(_new(RootVector, (a, b)) for b, a in zip(*R.low))
+    mu_r_top = tuple(_new(RootVector, (wa - a, wb - b)) for a, b in zip(*R.high))
+    mu_l = tuple(_new(RootVector, (a, b)) for a, b in zip(*L.high))
+    mu_l_top = tuple(_new(RootVector, (wa - a, wb - b)) for b, a in zip(*L.low))
     return VertexFan(mu_r, mu_r_top, mu_l, mu_l_top)
 
 

@@ -239,6 +239,28 @@ class TestDocumentErrors:
         assert err.startswith(f"error: invalid JSON in {path}: ")
         assert reason in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "data", [b"\xff{", b'{"algebra": "sl2\xffhat"}'], ids=["leading", "in-a-string"]
+    )
+    def test_stdin_is_decoded_as_utf_8_under_a_c_locale(self, tmp_path, data):
+        """Under a C locale stdin's own decoder would escape bytes that are
+        not UTF-8; the CLI decodes them as it decodes a file, with one message."""
+        path = tmp_path / "d.json"
+        path.write_bytes(data)
+        src = os.path.dirname(os.path.dirname(affmv.__file__))
+        env = dict(os.environ, LC_ALL="C")
+        env.pop("PYTHONUTF8", None)
+        env.pop("PYTHONIOENCODING", None)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = [sys.executable, "-m", "affmv.cli", "complete", "--side", "right"]
+        piped = subprocess.run(argv, input=data, capture_output=True, env=env, timeout=60)
+        read = subprocess.run([*argv, str(path)], capture_output=True, env=env, timeout=60)
+        assert (piped.returncode, read.returncode) == (cli.EXIT_USAGE, cli.EXIT_USAGE)
+        assert piped.stdout == read.stdout == b""
+        prefix = f"error: invalid JSON in {path}: ".encode()
+        assert read.stderr.startswith(prefix) and b"can't decode byte 0xff" in read.stderr
+        assert piped.stderr == b"error: invalid JSON in -: " + read.stderr[len(prefix):]
+
 
 class TestCheck:
     def test_mv_pair_passes(self, capsys, tmp_path, reference_pair):
@@ -544,6 +566,22 @@ class TestSizeLimit:
             "digits": "a multiplicity or part has more than 4000 digits",
         }[line]
         assert (code, out, err) == (cli.EXIT_USAGE, "", f"error: {message}\n")
+
+    def test_a_huge_completion_index_is_named_by_its_digits(self, capsys, tmp_path):
+        """A datum within the digit bound can complete to a weight far past
+        `MAX_PATH_INDEX`; the message gives the index's digit count, not
+        its some 4,000 digits."""
+        nines = "9" * 4000
+        text = (
+            f'{{"algebra": "a2(2)", "real": [{{"family": "low", "k": 5, "mult": {nines}}}, '
+            f'{{"family": "high", "k": 3, "mult": {nines}}}], "delta": [{nines}, {nines}]}}'
+        )
+        path = tmp_path / "d.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "complete", str(path), "--side", "right")
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err == "error: ladder index of 4002 digits is past the supported limit 2097152\n"
+        assert len(err) < 100
 
     def test_integers_at_the_document_bounds_are_read(self, capsys, tmp_path):
         """A multiplicity of 4,000 digits completes, a pair with a part of

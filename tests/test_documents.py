@@ -7,7 +7,10 @@ DocumentError with the field named; serialization is deterministic.
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from affmv import cli
 from affmv.crystal import crystal_graph
 from affmv.documents import (
     DocumentError,
@@ -124,6 +127,69 @@ class TestPolytopeDocuments:
     def test_missing_side_is_rejected(self):
         with pytest.raises(DocumentError):
             parse_polytope({"left": datum_to_obj(datum(Algebra.SL2_HAT))})
+
+
+def indented(obj):
+    """The reference bytes `dumps` must reproduce."""
+    return json.dumps(obj, indent=2) + "\n"
+
+
+_INTS = st.integers() | st.integers(-(10**4000 - 1), 10**4000 - 1)
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.floats()  # NaN and both infinities included
+    | _INTS
+    | st.text()
+    | st.text(st.characters(max_codepoint=0x1F))  # control characters
+    | st.text(st.characters(min_codepoint=0x80))  # non-ASCII
+    # the writer's two joined shapes, and near misses of them
+    | st.lists(_INTS)
+    | st.lists(st.lists(_INTS, min_size=2, max_size=2))
+    | st.lists(st.lists(_INTS | st.booleans() | st.floats(), min_size=1, max_size=3))
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    max_leaves=25,
+)
+
+
+class TestWriter:
+    @settings(deadline=None, max_examples=200)
+    @given(_VALUES)
+    def test_dumps_is_indented_json(self, obj):
+        assert dumps(obj) == indented(obj)
+
+    @pytest.mark.parametrize(
+        "obj", [{}, [], [{}], [[]], {"": []}, [[1, 2]], [[1, True]], [1, 2.0], "\x00\u00e9"]
+    )
+    def test_edge_shapes(self, obj):
+        assert dumps(obj) == indented(obj)
+
+    def test_datum_document(self, reference_right):
+        obj = datum_to_obj(reference_right)
+        assert dumps(obj) == indented(obj)
+        zero = datum_to_obj(datum(Algebra.A2_TWISTED))
+        assert dumps(zero) == indented(zero)
+
+    @pytest.mark.parametrize("with_vertices", [False, True])
+    def test_polytope_document(self, reference_pair, with_vertices):
+        obj = polytope_to_obj(reference_pair, with_vertices=with_vertices)
+        assert dumps(obj) == indented(obj)
+
+    def test_violations_document(self):
+        d = datum(Algebra.SL2_HAT, {(LOW, 1): 1, (HIGH, 1): 1})
+        obj = polytope_to_obj(DecoratedPolytope(d, d), with_vertices=True)
+        assert obj["violations"] and dumps(obj) == indented(obj)
+        assert dumps(obj["violations"]) == indented(obj["violations"])
+
+    @pytest.mark.parametrize("kind", ["sl2hat", "a2(2)"])
+    def test_verify_all_report(self, capsys, kind):
+        code = cli.main(["verify", "all", "--kind", kind, "--json"])
+        out = capsys.readouterr().out
+        assert code == cli.EXIT_OK
+        assert out == indented(json.loads(out))
 
 
 class TestShortForm:
